@@ -23,39 +23,49 @@ module Mutex = Mm_mutex.Mutex
 
 (* --- shared graph-family argument --- *)
 
+(* The [family] member on [n] processes, or why there is none: a family
+   that does not come in size [n] is an input error, which the commands
+   report as a usage error (exit 124) via [Term.term_result']. *)
 let make_graph family n seed =
   let rng = Mm_rng.Rng.create seed in
-  match String.lowercase_ascii family with
-  | "edgeless" -> B.edgeless n
-  | "ring" -> B.ring n
-  | "path" -> B.path n
-  | "star" -> B.star n
-  | "complete" -> B.complete n
-  | "hypercube" ->
-    let d = int_of_float (Float.round (Float.log2 (float_of_int n))) in
-    if 1 lsl d <> n then failwith "hypercube needs n = 2^d";
-    B.hypercube d
-  | "torus" ->
-    let r = int_of_float (sqrt (float_of_int n)) in
-    if r * r <> n then failwith "torus needs a square n";
-    B.torus ~rows:r ~cols:r
-  | "regular3" -> B.random_regular rng ~n ~d:3
-  | "regular4" -> B.random_regular rng ~n ~d:4
-  | "regular6" -> B.random_regular rng ~n ~d:6
-  | "margulis" ->
-    let m = int_of_float (sqrt (float_of_int n)) in
-    if m * m <> n then failwith "margulis needs a square n";
-    B.margulis ~m
-  | "barbell" ->
-    if n < 3 then failwith "barbell needs n >= 3";
-    B.barbell ~k:(n / 2) ~bridge:(n mod 2)
-  | "cliques" ->
-    if n mod 3 <> 0 then failwith "cliques family uses k=3; n must be divisible by 3";
-    B.ring_of_cliques ~cliques:(n / 3) ~k:3
-  | "disjoint" ->
-    if n < 2 || n mod 2 <> 0 then failwith "disjoint needs an even n >= 2";
-    B.disjoint_cliques ~cliques:2 ~k:(n / 2)
-  | f -> failwith ("unknown graph family: " ^ f)
+  let need ok msg = if not ok then invalid_arg msg in
+  match
+    match String.lowercase_ascii family with
+    | "edgeless" -> B.edgeless n
+    | "ring" -> B.ring n
+    | "path" -> B.path n
+    | "star" -> B.star n
+    | "complete" -> B.complete n
+    | "hypercube" ->
+      let d = int_of_float (Float.round (Float.log2 (float_of_int n))) in
+      need (1 lsl d = n) "hypercube needs n = 2^d";
+      B.hypercube d
+    | "torus" ->
+      let r = int_of_float (sqrt (float_of_int n)) in
+      need (r * r = n) "torus needs a square n";
+      B.torus ~rows:r ~cols:r
+    | "regular3" -> B.random_regular rng ~n ~d:3
+    | "regular4" -> B.random_regular rng ~n ~d:4
+    | "regular6" -> B.random_regular rng ~n ~d:6
+    | "margulis" ->
+      let m = int_of_float (sqrt (float_of_int n)) in
+      need (m * m = n) "margulis needs a square n";
+      B.margulis ~m
+    | "barbell" ->
+      need (n >= 3) "barbell needs n >= 3";
+      B.barbell ~k:(n / 2) ~bridge:(n mod 2)
+    | "cliques" ->
+      need (n mod 3 = 0) "cliques family uses k=3; n must be divisible by 3";
+      B.ring_of_cliques ~cliques:(n / 3) ~k:3
+    | "disjoint" ->
+      need (n >= 2 && n mod 2 = 0) "disjoint needs an even n >= 2";
+      B.disjoint_cliques ~cliques:2 ~k:(n / 2)
+    | f -> invalid_arg ("unknown graph family: " ^ f)
+  with
+  | g -> Ok g
+  | exception Invalid_argument msg -> Error msg
+
+let ( let+ ) r f = Result.map f r
 
 let family_arg default =
   let doc =
@@ -71,18 +81,44 @@ let n_arg default =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+let crash_conv =
+  let parse s =
+    match List.map int_of_string_opt (String.split_on_char ':' s) with
+    | [ Some pid; Some step ] -> Ok (pid, step)
+    | [ Some pid ] -> Ok (pid, 0)
+    | _ -> Error (`Msg (Printf.sprintf "expected PID or PID:STEP, got %S" s))
+  in
+  Arg.conv ~docv:"PID:STEP"
+    (parse, fun ppf (pid, step) -> Format.fprintf ppf "%d:%d" pid step)
+
 let crashes_arg =
   let doc = "Crash injections as pid:step pairs, e.g. --crash 0:0 --crash 2:500." in
-  Arg.(value & opt_all string [] & info [ "crash" ] ~docv:"PID:STEP" ~doc)
+  Arg.(value & opt_all crash_conv [] & info [ "crash" ] ~docv:"PID:STEP" ~doc)
 
-let parse_crashes specs =
-  List.map
-    (fun s ->
-      match String.split_on_char ':' s with
-      | [ pid; step ] -> (int_of_string pid, int_of_string step)
-      | [ pid ] -> (int_of_string pid, 0)
-      | _ -> failwith ("bad crash spec: " ^ s))
-    specs
+(* Omega's notification mechanism; the lossy variant's drop probability
+   comes from --drop. *)
+let variant_arg ~doc =
+  let variants = [ ("reliable", `Reliable); ("lossy", `Lossy) ] in
+  Arg.(value & opt (enum variants) `Reliable & info [ "variant" ] ~docv:"V" ~doc)
+
+let omega_variant ~drop = function
+  | `Reliable -> Omega.Reliable
+  | `Lossy -> Omega.Fair_lossy drop
+
+(* Knobs that are counts (steps, trials, domains, ticks) must be strictly
+   positive; reject them at parse time with a clear message instead of
+   letting a 0 or negative value surface later as an Invalid_argument
+   trace. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some v when v > 0 -> Ok v
+    | Some v ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
+    | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let impl_arg =
   let impl =
@@ -95,25 +131,28 @@ let impl_arg =
 (* --- experiment --- *)
 
 let experiment_cmd =
+  let experiment =
+    let parse id =
+      match Mm_bench.Experiments.find id with
+      | Some f -> Ok (String.uppercase_ascii id, f)
+      | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown experiment %S, expected one of %s" id
+               (String.concat ", " (List.map fst Mm_bench.Experiments.all))))
+    in
+    Arg.conv ~docv:"ID" (parse, fun ppf (id, _) -> Format.pp_print_string ppf id)
+  in
   let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
+    Arg.(value & pos_all experiment [] & info [] ~docv:"ID"
+           ~doc:"Experiment ids (default: all).")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced sizes and seed counts.")
   in
   let run ids quick =
     let scale = if quick then `Quick else `Full in
-    let selected =
-      match ids with
-      | [] -> Mm_bench.Experiments.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Mm_bench.Experiments.find id with
-            | Some f -> (String.uppercase_ascii id, f)
-            | None -> failwith ("unknown experiment: " ^ id))
-          ids
-    in
+    let selected = if ids = [] then Mm_bench.Experiments.all else ids in
     List.iter (fun (_, f) -> Mm_bench.Table.print (f scale)) selected
   in
   Cmd.v
@@ -123,10 +162,9 @@ let experiment_cmd =
 (* --- consensus --- *)
 
 let consensus_cmd =
-  let run family n seed impl crash_specs =
-    let graph = make_graph family n seed in
+  let run family n seed impl crashes =
+    let+ graph = make_graph family n seed in
     let inputs = Array.init n (fun i -> i mod 2) in
-    let crashes = parse_crashes crash_specs in
     let o = Hbo.run ~seed ~impl ~graph ~crashes ~inputs () in
     Format.printf "graph: %s %a   crashes: %d@." family G.pp graph
       (List.length crashes);
@@ -151,26 +189,34 @@ let consensus_cmd =
   in
   Cmd.v
     (Cmd.info "consensus" ~doc:"Run HBO consensus (Figure 2) on a graph.")
-    Term.(const run $ family_arg "ring" $ n_arg 8 $ seed_arg $ impl_arg $ crashes_arg)
+    Term.(term_result' ~usage:true
+            (const run $ family_arg "ring" $ n_arg 8 $ seed_arg $ impl_arg
+             $ crashes_arg))
 
 (* --- paxos --- *)
 
 let paxos_cmd =
   let module Paxos = Mm_consensus.Paxos in
   let oracle_arg =
-    Arg.(value & opt string "heartbeat" & info [ "oracle" ] ~docv:"O"
-           ~doc:"Leader oracle: heartbeat | static:<pid> | anarchy.")
-  in
-  let run oracle n seed crash_specs =
-    let oracle =
-      match String.split_on_char ':' (String.lowercase_ascii oracle) with
-      | [ "heartbeat" ] -> Paxos.Heartbeat
-      | [ "anarchy" ] -> Paxos.Anarchy
-      | [ "static"; pid ] -> Paxos.Static (int_of_string pid)
-      | _ -> failwith ("unknown oracle: " ^ oracle)
+    let parse s =
+      match String.split_on_char ':' (String.lowercase_ascii s) with
+      | [ "heartbeat" ] -> Ok Paxos.Heartbeat
+      | [ "anarchy" ] -> Ok Paxos.Anarchy
+      | [ "static"; pid ] when int_of_string_opt pid <> None ->
+        Ok (Paxos.Static (int_of_string pid))
+      | _ -> Error (`Msg (Printf.sprintf "unknown oracle %S" s))
     in
+    let print ppf = function
+      | Paxos.Heartbeat -> Format.pp_print_string ppf "heartbeat"
+      | Paxos.Anarchy -> Format.pp_print_string ppf "anarchy"
+      | Paxos.Static pid -> Format.fprintf ppf "static:%d" pid
+    in
+    Arg.(value & opt (conv (parse, print)) Paxos.Heartbeat
+         & info [ "oracle" ] ~docv:"O"
+             ~doc:"Leader oracle: heartbeat | static:<pid> | anarchy.")
+  in
+  let run oracle n seed crashes =
     let inputs = Array.init n (fun i -> i * 10) in
-    let crashes = parse_crashes crash_specs in
     let o = Paxos.run ~seed ~oracle ~n ~crashes ~inputs () in
     Format.printf "stopped: %a after %d steps, max ballot %d@."
       Engine.pp_stop_reason o.Paxos.reason o.Paxos.total_steps
@@ -203,8 +249,7 @@ let smr_cmd =
     Arg.(value & opt int 3 & info [ "commands" ] ~docv:"K"
            ~doc:"Commands issued per process.")
   in
-  let run n seed cmds crash_specs =
-    let crashes = parse_crashes crash_specs in
+  let run n seed cmds crashes =
     let o =
       Log.run ~seed ~n ~commands_per_proc:cmds ~crashes ~max_steps:5_000_000 ()
     in
@@ -279,7 +324,7 @@ let kv_cmd =
                  through the log like puts.")
   in
   let timeout_arg =
-    Arg.(value & opt (some int) None & info [ "timeout" ] ~docv:"D"
+    Arg.(value & opt (some pos_int) None & info [ "timeout" ] ~docv:"D"
            ~doc:"Per-op client deadline in engine ticks: a request not \
                  completed within D ticks of its arrival counts as a \
                  timeout, drops out of the latency histograms, and its \
@@ -356,22 +401,12 @@ let kv_cmd =
 (* --- election --- *)
 
 let election_cmd =
-  let variant_arg =
-    Arg.(value & opt string "reliable" & info [ "variant" ] ~docv:"V"
-           ~doc:"reliable | lossy.")
-  in
   let drop_arg =
     Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
            ~doc:"Drop probability for the lossy variant.")
   in
-  let run variant drop n seed crash_specs =
-    let variant =
-      match String.lowercase_ascii variant with
-      | "reliable" -> Omega.Reliable
-      | "lossy" -> Omega.Fair_lossy drop
-      | v -> failwith ("unknown variant: " ^ v)
-    in
-    let crashes = parse_crashes crash_specs in
+  let run variant drop n seed crashes =
+    let variant = omega_variant ~drop variant in
     let timely =
       (* ensure at least one never-crashed process is timely *)
       let crashed_pids = List.map fst crashes in
@@ -396,7 +431,8 @@ let election_cmd =
   in
   Cmd.v
     (Cmd.info "election" ~doc:"Run eventual leader election (Figures 3-5).")
-    Term.(const run $ variant_arg $ drop_arg $ n_arg 4 $ seed_arg $ crashes_arg)
+    Term.(const run $ variant_arg ~doc:"reliable | lossy." $ drop_arg $ n_arg 4
+          $ seed_arg $ crashes_arg)
 
 (* --- mutex --- *)
 
@@ -440,21 +476,14 @@ let check_cmd =
   let module Scenario = Mm_check.Scenario in
   let module Registry = Mm_check.Registry in
   let module Pool = Mm_check.Pool in
-  let default_jobs () =
-    match Sys.getenv_opt "MM_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> j
-      | _ -> failwith "MM_JOBS must be a positive integer")
-    | None -> Pool.default_jobs ()
-  in
   let jobs_arg =
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"J"
-           ~doc:"Domains to fan trials out over. Defaults to \\$(b,MM_JOBS) \
-                 if set, else one less than the machine's recommended \
-                 domain count (min 1). Reports are identical for every \
-                 J: the lowest-index violation wins and shrinking is \
-                 single-threaded.")
+    Arg.(value & opt (some pos_int) None
+         & info [ "jobs"; "j" ] ~docv:"J" ~env:(Cmd.Env.info "MM_JOBS")
+             ~doc:"Domains to fan trials out over. Defaults to \\$(b,MM_JOBS) \
+                   if set, else one less than the machine's recommended \
+                   domain count (min 1). Reports are identical for every \
+                   J: the lowest-index violation wins and shrinking is \
+                   single-threaded.")
   in
   (* The scenario enum is derived from the registry: registering a new
      Scenario.S is all it takes to appear here and in --help. *)
@@ -506,10 +535,6 @@ let check_cmd =
     Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"S"
            ~doc:"Step budget per trial.")
   in
-  let variant_arg =
-    Arg.(value & opt string "reliable" & info [ "variant" ] ~docv:"V"
-           ~doc:"Omega notification mechanism: reliable | lossy.")
-  in
   let drop_arg =
     Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
            ~doc:"Max drop probability swept for omega's lossy variant.")
@@ -554,20 +579,6 @@ let check_cmd =
                  ignore the flag. Composes with --nemesis; restart draws \
                  come last, so pre-restart seeds replay unchanged.")
   in
-  (* Knobs that are step or trial counts must be strictly positive;
-     reject them at parse time with a clear message instead of letting a
-     0 or negative value surface later as an Invalid_argument trace. *)
-  let pos_int =
-    let parse s =
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> Ok v
-      | Some v ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
-      | None ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-  in
   let settle_arg =
     Arg.(value & opt (some pos_int) None & info [ "settle" ] ~docv:"S"
            ~doc:"Omega/kv + --nemesis: steps after the last fault clears                  within which leadership must stop changing (omega;                  default: warmup / 4) or every pre-heal request must                  complete (kv; default: max-steps / 2). Must be positive.")
@@ -605,17 +616,13 @@ let check_cmd =
       backend impl variant drop expect_stall replay trace jobs entries
       commands nemesis restarts settle chunk shards clients no_local_reads
       report_domains =
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let variant =
-      match String.lowercase_ascii variant with
-      | "reliable" -> Omega.Reliable
-      | "lossy" -> Omega.Fair_lossy drop
-      | v -> failwith ("unknown variant: " ^ v)
-    in
+    let+ graph = make_graph family n seed in
+    let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+    let variant = omega_variant ~drop variant in
     let params =
       {
         Scenario.default_params with
-        graph = Some (make_graph family n seed);
+        graph = Some graph;
         family;
         n;
         backend;
@@ -664,19 +671,21 @@ let check_cmd =
        ~doc:"Model-check an algorithm: sweep randomized schedules and faults \
              from one seed, monitor the paper's theorems, and report a \
              replayable shrunk counterexample (exit 1) on violation.")
-    Term.(const run $ scenario_arg $ family_arg "complete" $ n_arg 6
-          $ seed_arg $ budget_arg $ max_crashes_arg $ max_steps_arg
-          $ backend_arg $ impl_arg $ variant_arg $ drop_arg
-          $ expect_stall_arg $ replay_arg $ trace_arg $ jobs_arg
-          $ entries_arg $ commands_arg $ nemesis_arg $ restarts_arg
-          $ settle_arg $ chunk_arg $ shards_arg $ clients_arg
-          $ no_local_reads_arg $ report_domains_arg)
+    Term.(term_result' ~usage:true
+            (const run $ scenario_arg $ family_arg "complete" $ n_arg 6
+             $ seed_arg $ budget_arg $ max_crashes_arg $ max_steps_arg
+             $ backend_arg $ impl_arg
+             $ variant_arg ~doc:"Omega notification mechanism: reliable | lossy."
+             $ drop_arg $ expect_stall_arg $ replay_arg $ trace_arg $ jobs_arg
+             $ entries_arg $ commands_arg $ nemesis_arg $ restarts_arg
+             $ settle_arg $ chunk_arg $ shards_arg $ clients_arg
+             $ no_local_reads_arg $ report_domains_arg))
 
 (* --- graph analysis --- *)
 
 let graph_cmd =
   let run family n seed =
-    let g = make_graph family n seed in
+    let+ g = make_graph family n seed in
     Format.printf "%s: %a, max degree %d, connected: %b@." family G.pp g
       (G.max_degree g) (G.is_connected g);
     let n = G.order g in
@@ -706,7 +715,8 @@ let graph_cmd =
   in
   Cmd.v
     (Cmd.info "graph" ~doc:"Analyze a shared-memory graph: expansion, fault-tolerance bounds, SM-cuts.")
-    Term.(const run $ family_arg "ring" $ n_arg 12 $ seed_arg)
+    Term.(term_result' ~usage:true
+            (const run $ family_arg "ring" $ n_arg 12 $ seed_arg))
 
 let () =
   let info =

@@ -30,7 +30,8 @@ type event =
 let no_wake = max_int
 
 (* All mutable state of one directed link [src * n + dst]: its in-flight
-   queue (ascending in (due, uid)), the key of its earliest live heap
+   queue (descending in (due, uid): newest first, so a send onto a held
+   link does not walk its backlog), the key of its earliest live heap
    entry (or [no_wake]), and the degradation knobs.  Everything a link
    needs lives in this one record so the sparse index can materialize a
    link on first use and recycle it once it is idle again. *)
@@ -269,14 +270,13 @@ let draw_delay t =
   | Fixed d -> d
   | Uniform (lo, hi) -> Rng.int_in_range t.rng ~lo ~hi
 
-(* Ordered insert keeping the queue ascending in (due, uid); uids grow
-   with send order, so equal-due entries stay FIFO.  Queues are short
-   (messages leave at their due step), so this replaces the old per-tick
-   partition + sort with near-O(1) work per send. *)
+(* Ordered insert keeping the queue descending in (due, uid).  [e] carries
+   the largest uid yet issued, so it goes in front of the first entry due
+   no later than it: equal-due entries stay FIFO once reversed, and the
+   walk covers only entries due after [e] -- at most a delay window's
+   worth, however many messages a held link has piled up behind it. *)
 let rec insert_by_due e = function
-  | [] -> [ e ]
-  | x :: tl when x.due < e.due || (x.due = e.due && x.msg.Message.uid < e.msg.Message.uid)
-    -> x :: insert_by_due e tl
+  | x :: tl when x.due > e.due -> x :: insert_by_due e tl
   | rest -> e :: rest
 
 let send t ~now ~src ~dst payload =
@@ -317,31 +317,49 @@ let send t ~now ~src ~dst payload =
     end
   end
 
-(* Deliver the due prefix of link [l]'s queue into the destination
-   mailbox, in (due, uid) order. *)
+(* Enqueue [ready], a descending run of due entries, into mailbox [di]
+   oldest first: recurse, then enqueue.  The depth is the number of
+   messages delivered at once (a whole backlog when a partition heals). *)
+let rec deliver_ready t di = function
+  | [] -> ()
+  | e :: tl ->
+    deliver_ready t di tl;
+    Queue.add (e.msg.Message.src, e.msg.Message.payload) t.mailboxes.(di);
+    t.delivered <- t.delivered + 1;
+    t.in_flight_count <- t.in_flight_count - 1;
+    notify t (Deliver { src = e.msg.Message.src; dst = e.msg.Message.dst })
+
+(* The queue is descending, so its due entries are a suffix: copy the
+   entries still in transit (at most a delay window) and deliver the rest. *)
+let rec split_due t ~now ~di = function
+  | e :: tl when e.due > now -> e :: split_due t ~now ~di tl
+  | ready ->
+    deliver_ready t di ready;
+    []
+
+let rec last_due = function
+  | [ e ] -> e.due
+  | _ :: tl -> last_due tl
+  | [] -> no_wake
+
+(* Deliver link [l]'s due messages into the destination mailbox, in
+   ascending (due, uid) order. *)
 let deliver_due t ~now ~l ~di =
-  let rec go = function
-    | e :: tl when e.due <= now ->
-      Queue.add (e.msg.Message.src, e.msg.Message.payload) t.mailboxes.(di);
-      t.delivered <- t.delivered + 1;
-      t.in_flight_count <- t.in_flight_count - 1;
-      notify t (Deliver { src = e.msg.Message.src; dst = e.msg.Message.dst });
-      go tl
-    | rest -> rest
-  in
-  l.l_queue <- go l.l_queue;
-  (* Re-arm for the link's next pending message, if any. *)
+  l.l_queue <- split_due t ~now ~di l.l_queue;
+  (* Re-arm for the link's next pending message, if any: the queue's
+     last entry is its earliest. *)
   match l.l_queue with
   | [] -> maybe_recycle t l
-  | e :: _ -> arm t l ~due:e.due
+  | q -> arm t l ~due:(last_due q)
 
-(* A link is held iff some partition epoch separates its endpoints. *)
-let held t si di =
-  List.exists
-    (fun group_of ->
-      group_of.(si) >= 0 && group_of.(di) >= 0
-      && group_of.(si) <> group_of.(di))
-    t.parts
+(* A link is held iff some partition epoch separates its endpoints.  A
+   plain loop, not [List.exists]: tick re-polls every held link once per
+   step, and the closure [List.exists] needs would allocate on each poll. *)
+let rec separated si di = function
+  | [] -> false
+  | group_of :: rest ->
+    let gs = group_of.(si) and gd = group_of.(di) in
+    (gs >= 0 && gd >= 0 && gs <> gd) || separated si di rest
 
 let tick t ~now =
   let slots = t.slots in
@@ -359,7 +377,7 @@ let tick t ~now =
       l.l_wake <- no_wake;
       let si = idx / t.n and di = idx mod t.n in
       let blocked =
-        held t si di
+        separated si di t.parts
         ||
         match t.block_fn with
         | None -> false

@@ -24,6 +24,8 @@ let drain_all net p =
   in
   pump [] 0
 
+let nums got = List.filter_map (function _, Num i -> Some i | _ -> None) got
+
 let test_reliable_no_loss () =
   let net = mk 3 in
   for i = 1 to 50 do
@@ -46,9 +48,8 @@ let test_fifo_per_link () =
   for i = 1 to 20 do
     Net.send net ~now:0 ~src:(id 0) ~dst:(id 1) (Num i)
   done;
-  let got = drain_all net (id 1) in
-  let nums = List.filter_map (function _, Num i -> Some i | _ -> None) got in
-  Alcotest.(check (list int)) "in order" (List.init 20 (fun i -> i + 1)) nums
+  Alcotest.(check (list int)) "in order" (List.init 20 (fun i -> i + 1))
+    (nums (drain_all net (id 1)))
 
 let test_sender_attached () =
   let net = mk 3 in
@@ -203,6 +204,72 @@ let test_degrade_extra_delay () =
   Net.tick net ~now:12;
   Alcotest.(check int) "at base + extra" 1 (Net.peek_count net (id 1))
 
+(* A partition holding a 10k-message backlog on link 0 -> 1, one send per
+   step.  Each batch of 100 sends runs under its own extra delay, so dues
+   are not monotone in send order.  Returns the network, the next step
+   and the send indices in the order No-loss plus per-link (due, uid)
+   order prescribe: sorted by (due, send index). *)
+let backlog_extra = [| 12; 0; 7; 3; 9; 1; 5 |]
+let max_extra = Array.fold_left max 0 backlog_extra
+
+let held_backlog ~index =
+  let net =
+    Net.create ~rng:(Rng.create 1) ~n:2 ~kind:Net.Reliable
+      ~delay:(Net.Fixed 1) ~index ()
+  in
+  Net.partition net [ [ id 0 ]; [ id 1 ] ];
+  let total = 10_000 in
+  let dues = ref [] in
+  for i = 0 to total - 1 do
+    let extra = backlog_extra.(i / 100 mod Array.length backlog_extra) in
+    if i mod 100 = 0 then
+      Net.degrade net ~src:(id 0) ~dst:(id 1) ~extra_delay:extra ();
+    Net.send net ~now:i ~src:(id 0) ~dst:(id 1) (Num i);
+    dues := (i + 1 + extra, i) :: !dues;
+    Net.tick net ~now:i
+  done;
+  (net, total, List.map snd (List.sort compare !dues))
+
+let test_held_backlog_order () =
+  let run index =
+    let net, now, expected = held_backlog ~index in
+    Alcotest.(check int) "nothing crosses the cut" 0 (Net.peek_count net (id 1));
+    Alcotest.(check int) "backlog held" (List.length expected)
+      (Net.stats net).Net.in_flight;
+    Net.heal net;
+    let got = ref [] in
+    for t = now to now + max_extra + 1 do
+      Net.tick net ~now:t;
+      got := List.rev_append (nums (Net.drain net (id 1))) !got
+    done;
+    let got = List.rev !got in
+    Alcotest.(check (list int)) "delivered in (due, send index) order"
+      expected got;
+    Alcotest.(check int) "drained" 0 (Net.stats net).Net.in_flight;
+    got
+  in
+  let dense = run `Dense in
+  Alcotest.(check (list int)) "dense = sparse" dense (run `Sparse)
+
+(* A send onto a held link walks only the messages due after it, not the
+   backlog: one more send behind 10k held messages allocates a constant
+   handful of words (message, queue entry, cons cell). *)
+let test_held_send_allocation () =
+  List.iter
+    (fun index ->
+      let net, now, _ = held_backlog ~index in
+      (* The largest extra delay puts the new message behind every other,
+         so even the in-transit entries are not walked. *)
+      Net.degrade net ~src:(id 0) ~dst:(id 1) ~extra_delay:max_extra ();
+      let payload = Num now in
+      let before = Gc.minor_words () in
+      Net.send net ~now ~src:(id 0) ~dst:(id 1) payload;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "one send allocates %.0f minor words (< 64)" words)
+        true (words < 64.0))
+    [ `Dense; `Sparse ]
+
 let prop_reliable_counts =
   QCheck.Test.make ~name:"reliable: sent = delivered + in_flight" ~count:50
     QCheck.(pair (int_range 1 60) (int_range 0 100))
@@ -239,6 +306,10 @@ let () =
             test_degrade_drop_and_restore;
           Alcotest.test_case "degrade extra delay" `Quick
             test_degrade_extra_delay;
+          Alcotest.test_case "held backlog order" `Quick
+            test_held_backlog_order;
+          Alcotest.test_case "held send allocation" `Quick
+            test_held_send_allocation;
           QCheck_alcotest.to_alcotest prop_reliable_counts;
         ] );
     ]
