@@ -49,7 +49,7 @@ let inputs n = Array.init n (fun i -> i mod 2)
      per run; ns/run / 20_000 is the per-step cost.
    - net/tick-saturated: a saturated 8-process network, 2 sends per
      process per tick with spread-out delays, 500 ticks per run.
-   - check/hbo-sweep-wallclock-*: one full check_hbo sweep (fixed trial
+   - check/hbo-sweep-wallclock-*: one full hbo sweep (fixed trial
      budget) at jobs=1 vs jobs=4 — the ratio is the sweep speedup. *)
 
 let engine_steps_kernel () =
@@ -87,8 +87,16 @@ let net_tick_kernel () =
 
 let hbo_sweep_kernel jobs () =
   ignore
-    (Runner.check_hbo ~master_seed:7 ~budget:24 ~jobs ~max_steps:20_000
-       ~graph:(B.complete 4) ())
+    (Runner.sweep
+       (module Mm_check.Scenario_hbo)
+       ~master_seed:7 ~budget:24 ~jobs
+       ~params:
+         {
+           Mm_check.Scenario.default_params with
+           graph = Some (B.complete 4);
+           max_steps = Some 20_000;
+         }
+       ())
 
 (* engine/big-n-steps-n{100,1000}: per-step cost at large n.  A fixed
    8-process ping-pong ring is embedded in an n-process engine whose
@@ -291,47 +299,6 @@ let time_ns ~repeat f =
   done;
   !best
 
-(* check/arena-reuse-speedup: a sequential sweep of short abd trials at
-   n=16 timed with arena reuse on vs off; ns_per_run is the reuse-on
-   time and "speedup" the off/on ratio.  The workload leans on the
-   per-trial fixed cost — engine construction is O(n²) in the network
-   arrays while a 1-op trial's traffic is O(n) — because that is what
-   the arena removes.  Expect a ratio near 1.0: reuse trades allocation
-   (tracked by gc/minor-words-per-trial) against the write barrier a
-   major-heap-resident engine pays on array stores, so the row exists
-   to catch either side of that trade drifting, not to show a large
-   win. *)
-let arena_reuse_params =
-  {
-    Mm_check.Scenario.default_params with
-    n = 16;
-    max_ops = Some 1;
-    max_steps = Some 20_000;
-    trace_tail = 0;
-  }
-
-let arena_reuse_row ~smoke =
-  let budget = if smoke then 4 else 64 in
-  let repeat = if smoke then 1 else 5 in
-  let sweep ~reuse () =
-    ignore
-      (Runner.sweep
-         (module Mm_check.Scenario_abd)
-         ~master_seed:7 ~budget ~jobs:1 ~reuse_arenas:reuse
-         ~params:arena_reuse_params ())
-  in
-  (* Warm both paths before timing: the first sweep in the process pays
-     one-time setup that would otherwise bias whichever side runs
-     first. *)
-  sweep ~reuse:true ();
-  sweep ~reuse:false ();
-  let ns_on = time_ns ~repeat (sweep ~reuse:true) in
-  let ns_off = time_ns ~repeat (sweep ~reuse:false) in
-  ( "check/arena-reuse-speedup",
-    ns_on,
-    Printf.sprintf ", \"budget\": %d, \"speedup\": %.3f" budget
-      (ns_off /. ns_on) )
-
 (* check/dedup-hit-rate: hbo trials quantized to 16 distinct generated
    configs, so a budget-64 sweep re-draws mostly duplicates and the
    fingerprint memo skips them.  The quantizing [gen] still draws the
@@ -369,9 +336,9 @@ let dedup_row ~smoke =
 (* gc/minor-words-per-trial: minor-heap allocation per trial of a
    short-trial abd sweep — execution is deliberately tiny (one op per
    process, no trace buffer), so the row isolates the fixed per-trial
-   simulator cost that arena reuse eliminates.  ns_per_run carries the
-   reuse-on words-per-trial (same lower-is-better direction bench_diff
-   assumes); "reuse_off" is the fresh-engines-per-trial figure. *)
+   simulator cost: building a fresh engine.  ns_per_run carries the
+   words per trial (same lower-is-better direction bench_diff
+   assumes). *)
 let gc_params =
   {
     Mm_check.Scenario.default_params with
@@ -383,27 +350,19 @@ let gc_params =
 
 let gc_row ~smoke =
   let budget = if smoke then 8 else 256 in
-  let words_per_trial ~reuse =
-    let sweep () =
-      ignore
-        (Runner.sweep
-           (module Mm_check.Scenario_abd)
-           ~master_seed:7 ~budget ~jobs:1 ~reuse_arenas:reuse ~params:gc_params
-           ())
-    in
-    sweep ();
-    (* warm: exclude one-time setup from the counter delta *)
-    let before = Gc.minor_words () in
-    sweep ();
-    (Gc.minor_words () -. before) /. float_of_int budget
+  let sweep () =
+    ignore
+      (Runner.sweep
+         (module Mm_check.Scenario_abd)
+         ~master_seed:7 ~budget ~jobs:1 ~params:gc_params ())
   in
-  let on_words = words_per_trial ~reuse:true in
-  let off_words = words_per_trial ~reuse:false in
+  sweep ();
+  (* warm: exclude one-time setup from the counter delta *)
+  let before = Gc.minor_words () in
+  sweep ();
   ( "gc/minor-words-per-trial",
-    on_words,
-    Printf.sprintf ", \"budget\": %d, \"reuse_off\": %.1f, \"improvement\": %.2f"
-      budget off_words
-      (off_words /. Float.max on_words 1.0) )
+    (Gc.minor_words () -. before) /. float_of_int budget,
+    Printf.sprintf ", \"budget\": %d" budget )
 
 (* check/sweep-scaling-j{1,2,4,8}: the same clean fixed-budget hbo sweep
    at four --jobs settings, timed wall-clock (best-of-repeat), with the
@@ -593,7 +552,7 @@ let kv_local_read_row ~smoke =
 
 let derived_rows ~smoke () =
   [
-    arena_reuse_row ~smoke; dedup_row ~smoke; gc_row ~smoke;
+    dedup_row ~smoke; gc_row ~smoke;
     kv_partition_row ~smoke; kv_failover_row ~smoke;
     kv_local_read_row ~smoke;
   ]

@@ -66,6 +66,7 @@ let make_graph family n seed =
   | exception Invalid_argument msg -> Error msg
 
 let ( let+ ) r f = Result.map f r
+let ( let* ) = Result.bind
 
 let family_arg default =
   let doc =
@@ -75,8 +76,24 @@ let family_arg default =
   in
   Arg.(value & opt string default & info [ "g"; "graph" ] ~docv:"FAMILY" ~doc)
 
+(* Knobs that are counts (processes, steps, trials, domains, ticks)
+   must be strictly positive; reject them at parse time with a clear
+   message instead of letting a 0 or negative value surface later as an
+   Invalid_argument trace. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some v when v > 0 -> Ok v
+    | Some v ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
+    | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let n_arg default =
-  Arg.(value & opt int default & info [ "n" ] ~docv:"N" ~doc:"Number of processes.")
+  Arg.(value & opt pos_int default & info [ "n" ] ~docv:"N"
+         ~doc:"Number of processes.")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -104,21 +121,6 @@ let variant_arg ~doc =
 let omega_variant ~drop = function
   | `Reliable -> Omega.Reliable
   | `Lossy -> Omega.Fair_lossy drop
-
-(* Knobs that are counts (steps, trials, domains, ticks) must be strictly
-   positive; reject them at parse time with a clear message instead of
-   letting a 0 or negative value surface later as an Invalid_argument
-   trace. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some v when v > 0 -> Ok v
-    | Some v ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
-    | None ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
 let impl_arg =
   let impl =
@@ -283,15 +285,15 @@ let kv_cmd =
   let module W = Mm_kv.Workload in
   let module H = Mm_kv.Histogram in
   let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"S"
+    Arg.(value & opt pos_int 2 & info [ "shards" ] ~docv:"S"
            ~doc:"Shard count (one replicated-log group each).")
   in
   let replicas_arg =
-    Arg.(value & opt int 3 & info [ "replicas" ] ~docv:"R"
+    Arg.(value & opt pos_int 3 & info [ "replicas" ] ~docv:"R"
            ~doc:"Replicas per shard.")
   in
   let clients_arg =
-    Arg.(value & opt int 300 & info [ "clients" ] ~docv:"C"
+    Arg.(value & opt pos_int 300 & info [ "clients" ] ~docv:"C"
            ~doc:"Open-loop client population size.")
   in
   let ops_arg =
@@ -303,7 +305,7 @@ let kv_cmd =
            ~doc:"Zipf skew of the key popularity distribution (0 = uniform).")
   in
   let keys_arg =
-    Arg.(value & opt int 128 & info [ "keys" ] ~docv:"K"
+    Arg.(value & opt pos_int 128 & info [ "keys" ] ~docv:"K"
            ~doc:"Key-space size.")
   in
   let gap_arg =
@@ -616,7 +618,7 @@ let check_cmd =
       backend impl variant drop expect_stall replay trace jobs entries
       commands nemesis restarts settle chunk shards clients no_local_reads
       report_domains =
-    let+ graph = make_graph family n seed in
+    let* graph = make_graph family n seed in
     let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
     let variant = omega_variant ~drop variant in
     let params =
@@ -643,9 +645,14 @@ let check_cmd =
         local_reads = not no_local_reads;
       }
     in
-    (match Runner.preamble (module S) ~params with
-    | Some line -> Format.printf "%s@." line
-    | None -> ());
+    (* Resolving the parameters can reject them (e.g. --expect-stall on a
+       graph with no SM-cut): that is a usage error, not a crash. *)
+    let* preamble =
+      match Runner.preamble (module S) ~params with
+      | line -> Ok line
+      | exception Invalid_argument msg -> Error msg
+    in
+    Option.iter (Format.printf "%s@.") preamble;
     let report, stats =
       match replay with
       | Some trial_seed ->
@@ -657,7 +664,8 @@ let check_cmd =
     Format.printf "%a" Runner.pp_report report;
     if report_domains && Array.length stats > 0 then
       Format.printf "%a" Runner.pp_domain_stats stats;
-    if report.Runner.violation <> None then exit 1
+    if report.Runner.violation <> None then exit 1;
+    Ok ()
   in
   let man =
     `S "SCENARIOS"

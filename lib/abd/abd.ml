@@ -130,13 +130,13 @@ let abd_process ~n ~record ~mark_done me script () =
   serve_until (fun () -> false)
 
 let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0)
-    ?(crashes = []) ?prepare ?delay ?arena ?backend ~n ~scripts () =
+    ?(crashes = []) ?prepare ?delay ?backend ~n ~scripts () =
   if Array.length scripts <> n then invalid_arg "Abd.run: |scripts| <> n";
   (* ABD allocates no registers — the backend only parameterises the
      store, so the protocol behaves identically under both; threading it
      keeps the Scenario × backend matrix uniform. *)
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?delay ~trace_capacity ?backend
+    Engine.create ~seed ?delay ~trace_capacity ?backend
       ~domain:(Domain_.isolated n) ~link:Network.Reliable ~n ()
   in
   let crashed = Array.make n false in

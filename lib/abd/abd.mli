@@ -60,7 +60,6 @@ val run :
   ?crashes:(int * int) list ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?delay:Mm_net.Network.delay ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   n:int ->
   scripts:op list array ->

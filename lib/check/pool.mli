@@ -58,8 +58,7 @@ val find_first : ?jobs:int -> ?chunk:int -> budget:int -> (int -> bool) -> int o
 (** [find_first_init ~init ~budget f] is {!find_first} for predicates
     that want per-worker state: every worker domain (including the
     calling one) runs [init ()] once and passes the result to each of
-    its [f] calls.  The sweep engine uses this to give each domain one
-    reusable simulator arena.  [init] must be safe to call concurrently;
+    its [f] calls.  [init] must be safe to call concurrently;
     the context never crosses domains until the pool has joined. *)
 val find_first_init :
   ?jobs:int ->

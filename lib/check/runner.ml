@@ -1,8 +1,5 @@
 module Rng = Mm_rng.Rng
 module Trace = Mm_sim.Trace
-module Arena = Mm_sim.Arena
-module Hbo = Mm_consensus.Hbo
-module Omega = Mm_election.Omega
 
 type counterexample = {
   trial : int;
@@ -79,6 +76,11 @@ let pp_report fmt r =
    instead of a 30-bit slice of it. *)
 let trial_seed_of rng = Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2)
 
+(* Trial [i]'s seed is the master stream's draw [i], computed directly:
+   a sweep that stops at its first hit draws no seed past it, and any
+   domain can take any index. *)
+let nth_trial_seed master i = trial_seed_of (Rng.jump master i)
+
 (* The effective worker-domain ceiling for parallel sweeps.  Read per
    sweep so tests (and operators) can adjust it between runs. *)
 let max_workers () =
@@ -122,6 +124,14 @@ let minor_heap_words () =
     | Some _ | None -> default)
   | None -> default
 
+(* Grow the calling domain's minor heap to [words] (never shrink it).
+   Purely a GC-pacing knob: allocation is unchanged, so sweep reports
+   are identical with any setting. *)
+let shape_minor_heap ~words =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size < words then
+    Gc.set { g with Gc.minor_heap_size = words }
+
 (* The domain-local trial state of one sweep worker.  Nothing in here is
    ever touched by another domain while the pool runs: the dedup memo is
    private (a duplicate first seen by two different domains executes in
@@ -130,7 +140,6 @@ let minor_heap_words () =
    the pool has joined.  Between claiming a chunk and reporting, a
    worker therefore shares no mutable state with its siblings. *)
 type wctx = {
-  arena : Arena.t option;
   memo : (int, unit) Hashtbl.t;  (* fingerprints THIS domain saw clean *)
   mutable logged : (int * int) list;  (* (trial index, fingerprint) *)
   mutable executed : int;
@@ -152,24 +161,18 @@ module Drive (Sc : Scenario.S) = struct
     let t = Sc.gen cfg rng in
     (t, Rng.fingerprint rng lxor salt)
 
-  let check ?arena cfg t =
-    let o = Sc.execute ?arena cfg t in
+  let check cfg t =
+    let o = Sc.execute cfg t in
     Monitor.first_failure (Sc.monitors cfg t) o
 
-  let run_one ?arena cfg ~trial_seed =
-    let rng = Rng.create trial_seed in
-    let t = Sc.gen cfg rng in
-    let o = Sc.execute ?arena cfg t in
-    (t, o, Monitor.first_failure (Sc.monitors cfg t) o)
-
-  let run_trial ?arena cfg ~trial ~trial_seed =
-    let t, o, failure = run_one ?arena cfg ~trial_seed in
-    match failure with
+  let run_trial cfg ~trial ~trial_seed =
+    let t = Sc.gen cfg (Rng.create trial_seed) in
+    let o = Sc.execute cfg t in
+    match Monitor.first_failure (Sc.monitors cfg t) o with
     | None -> None
     | Some (property, detail) ->
       let still_fails cand =
-        let o' = Sc.execute ?arena cfg cand in
-        match Monitor.first_failure (Sc.monitors cfg cand) o' with
+        match check cfg cand with
         | Some (p, _) -> String.equal p property
         | None -> false
       in
@@ -189,15 +192,13 @@ end
    detection is the cheap violation predicate run (possibly in
    parallel) on every trial seed, and [run_trial] re-runs one trial in
    full — including delta-debug shrinking — to package the
-   counterexample.  With [jobs > 1] the trials fan out across a domain
-   pool; the reported violation is the one with the lowest trial index
-   among all hits (not the first to complete), and shrinking runs
-   single-threaded on that trial's seed, so reports are bit-for-bit
-   identical to a [jobs = 1] sweep.
+   counterexample.  Every sweep runs detection through the domain pool
+   (with one worker it runs inline on the calling domain); the reported
+   violation is the one with the lowest trial index among all hits (not
+   the first to complete), and shrinking runs single-threaded on that
+   trial's seed, so reports are bit-for-bit identical at every [jobs].
 
-   Each worker domain owns one reusable {!Mm_sim.Arena} (unless
-   [reuse_arenas] is off), so a sweep allocates one simulator per
-   domain instead of one per trial.  Clean trials whose generation
+   Every trial builds a fresh engine.  Clean trials whose generation
    fingerprint was already seen clean {e by the same domain} are
    counted but not re-executed; the dedup tables are domain-private
    (zero cross-domain traffic on the trial path) and merged after the
@@ -207,7 +208,7 @@ end
    duplicate of a violating trial always re-executes and the
    lowest-index hit is unchanged. *)
 let sweep_stats (module Sc : Scenario.S) ?(master_seed = 1) ?budget ?(jobs = 1)
-    ?chunk ?(reuse_arenas = true) ~params () =
+    ?chunk ~params () =
   if jobs < 1 then invalid_arg "Runner.sweep: jobs must be >= 1";
   (match chunk with
   | Some c when c < 1 -> invalid_arg "Runner.sweep: chunk must be >= 1"
@@ -233,14 +234,12 @@ let sweep_stats (module Sc : Scenario.S) ?(master_seed = 1) ?budget ?(jobs = 1)
   let fp_salt =
     Mm_mem.Mem.Backend.tag params.Scenario.backend * 0x2545F4914F6CDD1D
   in
-  let algo = Sc.name in
-  let new_arena () = if reuse_arenas then Some (Arena.create ()) else None in
-  let rng = Rng.create master_seed in
+  let master = Rng.create master_seed in
   let fps = Array.make (max budget 1) 0 in
   let finish ~trials_run ~violation =
     let distinct_trials = count_distinct fps trials_run in
     {
-      algo;
+      algo = Sc.name;
       budget;
       trials_run;
       distinct_trials;
@@ -248,122 +247,73 @@ let sweep_stats (module Sc : Scenario.S) ?(master_seed = 1) ?budget ?(jobs = 1)
       violation;
     }
   in
-  if budget <= 0 then (finish ~trials_run:0 ~violation:None, [||])
-  else if jobs = 1 then begin
-    let arena = new_arena () in
-    let memo = Hashtbl.create (2 * budget) in
-    let executed = ref 0 in
-    let dedup_hits = ref 0 in
-    let stat ~trials_run =
-      [| { claimed = trials_run; executed = !executed;
-           dedup_hits = !dedup_hits } |]
+  let new_ctx _wid =
+    (* Runs inside the worker domain, before its first trial: a parallel
+       sweep's domain pre-sizes its own minor heap so clean trials
+       complete without triggering a cross-domain stop-the-world
+       collection.  A sequential sweep leaves the GC alone. *)
+    if jobs > 1 then shape_minor_heap ~words:(minor_heap_words ());
+    { memo = Hashtbl.create 64; logged = []; executed = 0; dedup_hits = 0 }
+  in
+  let detect ctx i =
+    let t, fp =
+      D.gen_fp cfg ~salt:fp_salt ~trial_seed:(nth_trial_seed master i)
     in
-    let rec go i =
-      if i >= budget then
-        (finish ~trials_run:budget ~violation:None, stat ~trials_run:budget)
-      else begin
-        let trial_seed = trial_seed_of rng in
-        let t, fp = D.gen_fp cfg ~salt:fp_salt ~trial_seed in
-        fps.(i) <- fp;
-        if Hashtbl.mem memo fp then begin
-          incr dedup_hits;
-          go (i + 1)
-        end
-        else begin
-          incr executed;
-          match D.check ?arena cfg t with
-          | None ->
-            Hashtbl.add memo fp ();
-            go (i + 1)
-          | Some _ -> (
-            match D.run_trial ?arena cfg ~trial:i ~trial_seed with
-            | Some cx ->
-              ( finish ~trials_run:(i + 1) ~violation:(Some cx),
-                stat ~trials_run:(i + 1) )
-            | None ->
-              (* A trial is a pure function of its seed, so the detect
-                 hit must reproduce. *)
-              assert false)
-        end
-      end
-    in
-    go 0
-  end
-  else begin
-    (* Same master stream, pre-drawn: seed i here = seed of trial i in
-       the sequential loop above. *)
-    let seeds = Array.init budget (fun _ -> trial_seed_of rng) in
-    let minor_words = minor_heap_words () in
-    let saved_minor = (Gc.get ()).Gc.minor_heap_size in
-    let new_ctx _wid =
-      (* Runs inside the worker domain, before its first trial: the
-         domain pre-sizes its own minor heap so clean trials complete
-         without triggering a cross-domain stop-the-world collection. *)
-      Arena.shape_minor_heap ~words:minor_words;
-      {
-        arena = new_arena ();
-        memo = Hashtbl.create 64;
-        logged = [];
-        executed = 0;
-        dedup_hits = 0;
-      }
-    in
-    let detect ctx i =
-      let t, fp = D.gen_fp cfg ~salt:fp_salt ~trial_seed:seeds.(i) in
-      ctx.logged <- (i, fp) :: ctx.logged;
-      if Hashtbl.mem ctx.memo fp then begin
-        ctx.dedup_hits <- ctx.dedup_hits + 1;
+    ctx.logged <- (i, fp) :: ctx.logged;
+    if Hashtbl.mem ctx.memo fp then begin
+      ctx.dedup_hits <- ctx.dedup_hits + 1;
+      false
+    end
+    else begin
+      ctx.executed <- ctx.executed + 1;
+      match D.check cfg t with
+      | None ->
+        Hashtbl.add ctx.memo fp ();
         false
-      end
-      else begin
-        ctx.executed <- ctx.executed + 1;
-        match D.check ?arena:ctx.arena cfg t with
-        | None ->
-          Hashtbl.add ctx.memo fp ();
-          false
-        | Some _ -> true
-      end
-    in
-    let r =
-      (* The worker-domain Gc shaping leaks into the calling domain
-         (worker 0 is this domain); restore it even if a trial raised. *)
-      Fun.protect
-        ~finally:(fun () ->
-          let g = Gc.get () in
-          if g.Gc.minor_heap_size <> saved_minor then
-            Gc.set { g with Gc.minor_heap_size = saved_minor })
-        (fun () ->
-          Pool.find_first_stats ~jobs ?chunk ~init:new_ctx ~budget detect)
-    in
-    (* Merge the domain-private logs into the per-trial fingerprint
-       array.  Every index at or below the final frontier was evaluated
-       by exactly one worker (the pool invariant), so after this merge
-       [fps.(0 .. trials_run)] is fully populated and [count_distinct]
-       recomputes the distinct/deduped split from scratch — lowest
-       index wins was already settled by the pool, and the numbers come
-       out identical to a sequential sweep by construction. *)
-    Array.iter
-      (fun ctx -> List.iter (fun (i, fp) -> fps.(i) <- fp) ctx.logged)
-      r.Pool.ctxs;
-    let stats =
-      Array.mapi
-        (fun w ctx ->
-          { claimed = r.Pool.claimed.(w); executed = ctx.executed;
-            dedup_hits = ctx.dedup_hits })
-        r.Pool.ctxs
-    in
-    match r.Pool.found with
-    | None -> (finish ~trials_run:budget ~violation:None, stats)
-    | Some i -> (
-      let arena = new_arena () in
-      match D.run_trial ?arena cfg ~trial:i ~trial_seed:seeds.(i) with
-      | Some cx -> (finish ~trials_run:(i + 1) ~violation:(Some cx), stats)
-      | None -> assert false)
-  end
+      | Some _ -> true
+    end
+  in
+  let saved_minor = (Gc.get ()).Gc.minor_heap_size in
+  let r =
+    (* The worker-domain Gc shaping leaks into the calling domain
+       (worker 0 is this domain); restore it even if a trial raised. *)
+    Fun.protect
+      ~finally:(fun () ->
+        let g = Gc.get () in
+        if g.Gc.minor_heap_size <> saved_minor then
+          Gc.set { g with Gc.minor_heap_size = saved_minor })
+      (fun () ->
+        Pool.find_first_stats ~jobs ?chunk ~init:new_ctx ~budget detect)
+  in
+  (* Merge the domain-private logs into the per-trial fingerprint
+     array.  Every index at or below the final frontier was evaluated
+     by exactly one worker (the pool invariant), so after this merge
+     [fps.(0 .. trials_run)] is fully populated and [count_distinct]
+     recomputes the distinct/deduped split from scratch — lowest index
+     wins was already settled by the pool, and the numbers come out the
+     same at every [jobs] by construction. *)
+  Array.iter
+    (fun ctx -> List.iter (fun (i, fp) -> fps.(i) <- fp) ctx.logged)
+    r.Pool.ctxs;
+  let stats =
+    Array.mapi
+      (fun w ctx ->
+        { claimed = r.Pool.claimed.(w); executed = ctx.executed;
+          dedup_hits = ctx.dedup_hits })
+      r.Pool.ctxs
+  in
+  match r.Pool.found with
+  | None -> (finish ~trials_run:(max budget 0) ~violation:None, stats)
+  | Some i -> (
+    match D.run_trial cfg ~trial:i ~trial_seed:(nth_trial_seed master i) with
+    | Some cx -> (finish ~trials_run:(i + 1) ~violation:(Some cx), stats)
+    | None ->
+      (* A trial is a pure function of its seed, so the detect hit must
+         reproduce. *)
+      assert false)
 
-let sweep sc ?master_seed ?budget ?jobs ?chunk ?reuse_arenas ~params () =
-  fst
-    (sweep_stats sc ?master_seed ?budget ?jobs ?chunk ?reuse_arenas ~params ())
+let sweep sc ?master_seed ?budget ?jobs ?chunk ~params () =
+  fst (sweep_stats sc ?master_seed ?budget ?jobs ?chunk ~params ())
 
 let replay (module Sc : Scenario.S) ~params ~trial_seed () =
   let module D = Drive (Sc) in
@@ -380,88 +330,3 @@ let replay (module Sc : Scenario.S) ~params ~trial_seed () =
 
 let preamble (module Sc : Scenario.S) ~params =
   Sc.preamble (Sc.cfg_of_params params)
-
-(* ------------------------------------------------------------------ *)
-(* Named entry points (the pre-registry API, kept source-compatible)  *)
-
-let default_max_crashes = Scenario_hbo.default_max_crashes
-
-let check_hbo ?master_seed ?budget ?jobs ?impl ?max_crashes ?crash_window
-    ?max_steps ?trace_tail ?expect_stall ~graph () =
-  let params =
-    {
-      Scenario.default_params with
-      graph = Some graph;
-      impl = Option.value impl ~default:Hbo.Trusted;
-      max_crashes;
-      crash_window;
-      max_steps;
-      trace_tail = Option.value trace_tail ~default:30;
-      expect_stall = Option.value expect_stall ~default:false;
-    }
-  in
-  sweep (module Scenario_hbo) ?master_seed ?budget ?jobs ~params ()
-
-let replay_hbo ?impl ?max_crashes ?crash_window ?max_steps ?trace_tail
-    ?expect_stall ~graph ~trial_seed () =
-  let params =
-    {
-      Scenario.default_params with
-      graph = Some graph;
-      impl = Option.value impl ~default:Hbo.Trusted;
-      max_crashes;
-      crash_window;
-      max_steps;
-      trace_tail = Option.value trace_tail ~default:30;
-      expect_stall = Option.value expect_stall ~default:false;
-    }
-  in
-  replay (module Scenario_hbo) ~params ~trial_seed ()
-
-let omega_params ?max_crashes ?crash_window ?warmup ?window ?drop ?trace_tail
-    ~variant ~n () =
-  {
-    Scenario.default_params with
-    n;
-    variant;
-    drop = Option.value drop ~default:0.3;
-    max_crashes;
-    crash_window;
-    warmup;
-    window;
-    trace_tail = Option.value trace_tail ~default:30;
-  }
-
-let check_omega ?master_seed ?budget ?jobs ?max_crashes ?crash_window ?warmup
-    ?window ?drop ?trace_tail ~variant ~n () =
-  let params =
-    omega_params ?max_crashes ?crash_window ?warmup ?window ?drop ?trace_tail
-      ~variant ~n ()
-  in
-  sweep (module Scenario_omega) ?master_seed ?budget ?jobs ~params ()
-
-let replay_omega ?max_crashes ?crash_window ?warmup ?window ?drop ?trace_tail
-    ~variant ~n ~trial_seed () =
-  let params =
-    omega_params ?max_crashes ?crash_window ?warmup ?window ?drop ?trace_tail
-      ~variant ~n ()
-  in
-  replay (module Scenario_omega) ~params ~trial_seed ()
-
-let abd_params ?max_ops ?max_steps ?trace_tail ~n () =
-  {
-    Scenario.default_params with
-    n;
-    max_ops;
-    max_steps;
-    trace_tail = Option.value trace_tail ~default:30;
-  }
-
-let check_abd ?master_seed ?budget ?jobs ?max_ops ?max_steps ?trace_tail ~n ()
-    =
-  let params = abd_params ?max_ops ?max_steps ?trace_tail ~n () in
-  sweep (module Scenario_abd) ?master_seed ?budget ?jobs ~params ()
-
-let replay_abd ?max_ops ?max_steps ?trace_tail ~n ~trial_seed () =
-  let params = abd_params ?max_ops ?max_steps ?trace_tail ~n () in
-  replay (module Scenario_abd) ~params ~trial_seed ()

@@ -17,9 +17,8 @@
     shrinking re-runs single-threaded on that trial's seed.
 
     This engine exists exactly once; every checker is a {!Scenario.S}
-    module (see {!Registry.all}), and the [check_*] / [replay_*] entry
-    points below are thin parameter adapters kept for source
-    compatibility. *)
+    module (see {!Registry.all}), driven through {!sweep} and
+    {!replay}. *)
 
 (** A property violation, packaged for reporting and replay. *)
 type counterexample = {
@@ -69,20 +68,21 @@ val pp_domain_stats : Format.formatter -> domain_stat array -> unit
     scenario [Sc] (default budget: [Sc.default_budget]) configured from
     [params] via [Sc.cfg_of_params].
 
-    The trial hot path is domain-local: between claiming a chunk of
-    trial indices and reporting, a worker domain touches no shared
-    mutable state.  Three report-invisible mechanisms ride on that
-    invariant — each sweeping domain reuses one simulator arena across
-    its trials (disable with [reuse_arenas:false] — reset is observably
-    identical to fresh creation, see {!Mm_sim.Arena}); each domain
-    keeps a {e private} fingerprint-dedup table (clean duplicates are
-    counted in [trials_run] but not re-executed; the
-    [distinct_trials] / [deduped] split is recomputed from the merged
-    per-trial fingerprints after the pool joins, so it is identical at
-    every [jobs] setting); and each worker pre-sizes its own minor heap
-    ({!Mm_sim.Arena.shape_minor_heap}, [MM_CHECK_MINOR_HEAP] overrides
-    the default) so clean trials complete without triggering a
-    cross-domain stop-the-world minor collection.  Violating
+    Every sweep detects through one {!Pool} loop (with one worker it
+    runs inline on the calling domain), and every trial builds a fresh
+    engine.  The trial hot path is domain-local: between claiming a
+    chunk of trial indices and reporting, a worker domain touches no
+    shared mutable state.  Two report-invisible mechanisms ride on that
+    invariant — each domain keeps a {e private} fingerprint-dedup table
+    (clean duplicates are counted in [trials_run] but not re-executed;
+    the [distinct_trials] / [deduped] split is recomputed from the
+    merged per-trial fingerprints after the pool joins, so it is
+    identical at every [jobs] setting); and, when the capped [jobs] is
+    above 1, each worker pre-sizes its own minor heap
+    ([MM_CHECK_MINOR_HEAP] overrides the default) so clean trials
+    complete without triggering a cross-domain stop-the-world minor
+    collection, and the caller's minor-heap size is restored afterwards.
+    A sequential sweep never touches the GC settings.  Violating
     fingerprints are never memoized, so a duplicate of a violating
     trial always re-executes.
 
@@ -106,7 +106,6 @@ val sweep :
   ?budget:int ->               (* default: the scenario's *)
   ?jobs:int ->                 (* default 1; domains to sweep with *)
   ?chunk:int ->                (* default: adaptive; indices per claim *)
-  ?reuse_arenas:bool ->        (* default true *)
   params:Scenario.params ->
   unit ->
   report
@@ -123,7 +122,6 @@ val sweep_stats :
   ?budget:int ->
   ?jobs:int ->
   ?chunk:int ->
-  ?reuse_arenas:bool ->
   params:Scenario.params ->
   unit ->
   report * domain_stat array
@@ -137,127 +135,3 @@ val replay :
 
 (** The scenario's pre-sweep banner line, if it has one. *)
 val preamble : Scenario.t -> params:Scenario.params -> string option
-
-(** The Theorem 4.3 crash budget f_max(G) = largest f with
-    f < (1 - 1/(2(1+h(G)))) · n; exact expansion for small graphs,
-    sampled upper bound beyond 16 vertices. *)
-val default_max_crashes : Mm_graph.Graph.t -> int
-
-(** {2 HBO consensus}
-
-    Each trial draws random binary inputs, a crash plan of at most
-    [max_crashes] crashes (default: {!default_max_crashes}, i.e. stay
-    inside the Theorem 4.3 envelope) landing within the first
-    [crash_window] steps, and a scheduler — a random walk or a weighted
-    PCT adversary with k in 1..4 — then monitors agreement and validity
-    (Thm 4.1) on every trial and termination (Thms 4.2/4.3) on
-    random-walk trials (PCT schedules are too skewed to give every
-    process enough steps inside the budget, so liveness is asserted only
-    under the fair walk).
-
-    With [expect_stall] the sweep instead realizes the Theorem 4.4
-    scenario: it finds a minimal SM-cut (B, S, T) of [graph] (raising
-    [Invalid_argument] if none exists), crashes B at step 0, delays all
-    S-T traffic forever, and monitors that consensus does {e not}
-    terminate — a trial fails when every correct process decides.
-
-    On a violation the crash set is shrunk by delta debugging and the
-    PCT budget k is minimized, re-running the trial seed with overridden
-    faults each time and keeping the reduction only if the {e same}
-    property still fails. *)
-val check_hbo :
-  ?master_seed:int ->          (* default 1 *)
-  ?budget:int ->               (* default 200 trials *)
-  ?jobs:int ->                 (* default 1; domains to sweep with *)
-  ?impl:Mm_consensus.Hbo.impl ->  (* default Trusted *)
-  ?max_crashes:int ->
-  ?crash_window:int ->         (* default 200 steps *)
-  ?max_steps:int ->            (* default 60_000 per trial *)
-  ?trace_tail:int ->           (* default 30 trailing events *)
-  ?expect_stall:bool ->        (* default false *)
-  graph:Mm_graph.Graph.t ->
-  unit ->
-  report
-
-(** Re-run the single HBO trial identified by [trial_seed] (same
-    derivation as inside {!check_hbo}) and report it as a 1-trial
-    sweep.  Pass the same options as the original sweep. *)
-val replay_hbo :
-  ?impl:Mm_consensus.Hbo.impl ->
-  ?max_crashes:int ->
-  ?crash_window:int ->
-  ?max_steps:int ->
-  ?trace_tail:int ->
-  ?expect_stall:bool ->
-  graph:Mm_graph.Graph.t ->
-  trial_seed:int ->
-  unit ->
-  report
-
-(** {2 Ω leader election}
-
-    Each trial draws a crash plan (never crashing the designated timely
-    process 0, which §5 requires to stay alive) landing within the
-    first [crash_window] steps, a per-trial drop probability uniform in
-    [0, drop] (lossy variant only), and an engine seed; it then runs
-    warmup + window steps and monitors Theorem 5.1/5.2 stability (one
-    correct leader, stable before the window opened) plus steady-state
-    silence.  Silence is only asserted on crash-free trials: a crashed
-    process can leave a notification eternally unacknowledged, which
-    the lossy mechanism legitimately retransmits forever. *)
-val check_omega :
-  ?master_seed:int ->
-  ?budget:int ->               (* default 50 trials *)
-  ?jobs:int ->                 (* default 1; domains to sweep with *)
-  ?max_crashes:int ->          (* default n - 2 *)
-  ?crash_window:int ->         (* default 20_000 *)
-  ?warmup:int ->               (* default 60_000 *)
-  ?window:int ->               (* default 10_000 *)
-  ?drop:float ->               (* default 0.3; lossy variant only *)
-  ?trace_tail:int ->
-  variant:Mm_election.Omega.variant ->
-  n:int ->
-  unit ->
-  report
-
-val replay_omega :
-  ?max_crashes:int ->
-  ?crash_window:int ->
-  ?warmup:int ->
-  ?window:int ->
-  ?drop:float ->
-  ?trace_tail:int ->
-  variant:Mm_election.Omega.variant ->
-  n:int ->
-  trial_seed:int ->
-  unit ->
-  report
-
-(** {2 ABD register}
-
-    Each trial draws per-process operation scripts (writes of globally
-    distinct values, reads, pauses; at most [max_ops] ops per process,
-    capped so the whole history fits the {!Lin} checker) and a delay
-    policy, then monitors completion, timestamp-level atomicity and
-    value-level linearizability.  No crashes are injected: a crashed
-    writer's pending write may legitimately be adopted by readers, and
-    pending operations carry no recorded response to linearize. *)
-val check_abd :
-  ?master_seed:int ->
-  ?budget:int ->               (* default 200 trials *)
-  ?jobs:int ->                 (* default 1; domains to sweep with *)
-  ?max_ops:int ->              (* default 4 per process *)
-  ?max_steps:int ->            (* default 200_000 *)
-  ?trace_tail:int ->
-  n:int ->
-  unit ->
-  report
-
-val replay_abd :
-  ?max_ops:int ->
-  ?max_steps:int ->
-  ?trace_tail:int ->
-  n:int ->
-  trial_seed:int ->
-  unit ->
-  report

@@ -16,7 +16,7 @@
       [still_fails] oracle the runner supplies.
 
     The runner owns everything else — trial-seed derivation, the
-    sequential/parallel sweep, lowest-index-wins determinism, replay —
+    sweep loop, lowest-index-wins determinism, replay —
     exactly once, for every scenario.  {!Registry.all} is the single
     source of truth for which scenarios exist; the CLI, the bench
     kernels and the determinism tests all enumerate it. *)
@@ -129,10 +129,9 @@ module type S = sig
       trial seeds stop reproducing. *)
   val gen : cfg -> Mm_rng.Rng.t -> trial
 
-  (** Run the trial.  Must be deterministic in [(cfg, trial)].  When
-      [arena] is given, the engine is re-seeded in place instead of
-      freshly allocated — observably identical (see {!Mm_sim.Arena}),
-      just cheaper; sweep workers thread one arena per domain. *)
+  (** Run the trial on a fresh engine.  Must be deterministic in
+      [(cfg, trial)].  [arena] is ignored; it is kept only for the
+      benchmark program in [perfbench/] (see {!Mm_sim.Arena}). *)
   val execute : ?arena:Mm_sim.Arena.t -> cfg -> trial -> outcome
 
   (** The named property monitors asserted on this trial.  The list may

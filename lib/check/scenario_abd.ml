@@ -85,12 +85,12 @@ let gen (cfg : cfg) rng =
   in
   { scripts; delay; engine_seed; nemesis }
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let prepare =
     if t.nemesis = [] then None else Some (Nemesis.install t.nemesis)
   in
   Abd.run ~seed:t.engine_seed ~max_steps:cfg.max_steps
-    ~trace_capacity:cfg.trace_tail ?prepare ?arena ~backend:cfg.backend ~delay:t.delay ~n:cfg.n
+    ~trace_capacity:cfg.trace_tail ?prepare ~backend:cfg.backend ~delay:t.delay ~n:cfg.n
     ~scripts:t.scripts ()
 
 let monitors _cfg _t =

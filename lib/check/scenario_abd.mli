@@ -1,8 +1,11 @@
 (** The ABD register as a {!Scenario.S}: each trial draws per-process
     operation scripts (writes of globally distinct values, reads,
-    pauses; capped so the whole history fits the {!Lin} checker) and a
-    delay policy, then monitors completion, timestamp-level atomicity
-    and value-level linearizability.  No crashes are injected and
-    nothing is shrunk. *)
+    pauses; at most [max_ops] per process, capped so the whole history
+    fits the {!Lin} checker) and a delay policy, then monitors
+    completion, timestamp-level atomicity and value-level
+    linearizability.  No crashes are injected: a crashed writer's
+    pending write may legitimately be adopted by readers, and pending
+    operations carry no recorded response to linearize.  Only a nemesis
+    timeline, when drawn, is shrunk. *)
 
 include Scenario.S

@@ -66,7 +66,7 @@ let stall_scenario graph =
   match Cut.min_f_with_cut graph with
   | None ->
     invalid_arg
-      "Runner.check_hbo: --expect-stall needs a graph with an SM-cut (Thm \
+      "hbo: --expect-stall needs a graph with an SM-cut (Thm \
        4.4), but none was found"
   | Some f -> (
     match Cut.find graph ~f with
@@ -145,7 +145,7 @@ let gen (cfg : cfg) rng =
    monitored there, so cap the wasted wall-clock per PCT trial. *)
 let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 10_000
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let n = Graph.order cfg.graph in
   let max_steps = steps cfg ~k:t.k in
   let sched =
@@ -158,7 +158,7 @@ let execute ?arena (cfg : cfg) t =
   in
   Hbo.run ~seed:t.engine_seed ~impl:cfg.impl ~max_steps
     ~trace_capacity:cfg.trace_tail ~crashes:t.crashes ?partition ?prepare
-    ?arena ~backend:cfg.backend ~sched ~graph:cfg.graph ~inputs:t.inputs ()
+    ~backend:cfg.backend ~sched ~graph:cfg.graph ~inputs:t.inputs ()
 
 (* The resilience-bound monitor leads under the emulated backend so a
    majority-crash trial is diagnosed against the emulation's bound, not

@@ -177,7 +177,7 @@ let gen (cfg : cfg) rng =
 
 let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 20_000
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let max_steps = steps cfg ~k:t.k in
   let n = t.shards * cfg.replicas in
   let sched =
@@ -187,7 +187,7 @@ let execute ?arena (cfg : cfg) t =
   let faults = t.nemesis @ t.restarts in
   let prepare = if faults = [] then None else Some (Nemesis.install faults) in
   Kv.run ~seed:t.engine_seed ~max_steps ~trace_capacity:cfg.trace_tail
-    ~crashes:t.crashes ?prepare ?arena ~backend:cfg.backend ~sched
+    ~crashes:t.crashes ?prepare ~backend:cfg.backend ~sched
     ~local_reads:cfg.local_reads ~shards:t.shards ~replicas:cfg.replicas
     ~workload:t.workload ()
 

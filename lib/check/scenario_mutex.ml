@@ -71,7 +71,7 @@ let gen (cfg : cfg) rng =
 
 let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 20_000
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let max_steps = steps cfg ~k:t.k in
   let sched =
     if t.k = 0 then Explore.random_walk ()
@@ -87,7 +87,7 @@ let execute ?arena (cfg : cfg) t =
     if t.nemesis = [] then None else Some (Nemesis.install t.nemesis)
   in
   run ~seed:t.engine_seed ~max_steps ~cs_work:t.cs_work
-    ~trace_capacity:cfg.trace_tail ?prepare ?arena ~backend:cfg.backend
+    ~trace_capacity:cfg.trace_tail ?prepare ~backend:cfg.backend
     ~sched ~n:cfg.n ~entries:t.entries ()
 
 (* Exclusion is asserted always; the §1 no-spin invariant only applies

@@ -109,12 +109,12 @@ let gen (cfg : cfg) rng =
   in
   { crashes; variant; engine_seed; nemesis; restarts }
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let faults = t.nemesis @ t.restarts in
   let prepare = if faults = [] then None else Some (Nemesis.install faults) in
   Omega.run ~seed:t.engine_seed ~trace_capacity:cfg.trace_tail
     ~crashes:t.crashes ~warmup:cfg.warmup ~window:cfg.window ?prepare
-    ?arena ~backend:cfg.backend ~variant:t.variant ~n:cfg.n ()
+    ~backend:cfg.backend ~variant:t.variant ~n:cfg.n ()
 
 (* A crashed process can leave a notification unacknowledged forever,
    which the mechanisms may legitimately keep retransmitting — assert

@@ -98,7 +98,7 @@ let gen (cfg : cfg) rng =
    skewed PCT schedule can burn. *)
 let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 20_000
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let max_steps = steps cfg ~k:t.k in
   let sched =
     if t.k = 0 then Explore.random_walk ()
@@ -107,7 +107,7 @@ let execute ?arena (cfg : cfg) t =
   let faults = t.nemesis @ t.restarts in
   let prepare = if faults = [] then None else Some (Nemesis.install faults) in
   Paxos.run ~seed:t.engine_seed ~oracle:t.oracle ~max_steps
-    ~trace_capacity:cfg.trace_tail ~crashes:t.crashes ?prepare ?arena
+    ~trace_capacity:cfg.trace_tail ~crashes:t.crashes ?prepare
     ~backend:cfg.backend ~sched ~n:cfg.n ~inputs:t.inputs ()
 
 (* Safety holds on every trial — dueling Anarchy leaders included.

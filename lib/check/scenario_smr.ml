@@ -87,7 +87,7 @@ let gen (cfg : cfg) rng =
 
 let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 20_000
 
-let execute ?arena (cfg : cfg) t =
+let execute ?arena:_ (cfg : cfg) t =
   let max_steps = steps cfg ~k:t.k in
   let sched =
     if t.k = 0 then Explore.random_walk ()
@@ -96,7 +96,7 @@ let execute ?arena (cfg : cfg) t =
   let faults = t.nemesis @ t.restarts in
   let prepare = if faults = [] then None else Some (Nemesis.install faults) in
   Log.run ~seed:t.engine_seed ~max_steps ~trace_capacity:cfg.trace_tail
-    ~crashes:t.crashes ?prepare ?arena ~backend:cfg.backend ~sched ~n:cfg.n
+    ~crashes:t.crashes ?prepare ~backend:cfg.backend ~sched ~n:cfg.n
     ~commands_per_proc:t.commands ()
 
 (* Safety (slot consistency + prefix agreement) holds on every trial;

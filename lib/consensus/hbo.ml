@@ -219,7 +219,7 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
   loop 1 (propose_r 1 input)
 
 let run ?(seed = 1) ?(impl = Registers) ?(max_steps = 2_000_000)
-    ?(trace_capacity = 0) ?(crashes = []) ?partition ?prepare ?sched ?arena
+    ?(trace_capacity = 0) ?(crashes = []) ?partition ?prepare ?sched
     ?backend ?(link = Network.Reliable) ?delay ~graph ~inputs () =
   let n = Graph.order graph in
   if Array.length inputs <> n then invalid_arg "Hbo.run: |inputs| <> n";
@@ -228,7 +228,7 @@ let run ?(seed = 1) ?(impl = Registers) ?(max_steps = 2_000_000)
     inputs;
   let domain = Domain_.uniform_of_graph graph in
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ?delay ~trace_capacity ?backend
+    Engine.create ~seed ?sched ?delay ~trace_capacity ?backend
       ~domain ~link ~n ()
   in
   (match partition with

@@ -78,7 +78,6 @@ val run :
   ?partition:int list * int list ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched:Mm_sim.Sched.t ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   ?link:Mm_net.Network.kind ->
   ?delay:Mm_net.Network.delay ->

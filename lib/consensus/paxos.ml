@@ -35,11 +35,11 @@ type outcome = {
 }
 
 let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
-    ?(trace_capacity = 0) ?(crashes = []) ?prepare ?sched ?arena ?backend ~n
+    ?(trace_capacity = 0) ?(crashes = []) ?prepare ?sched ?backend ~n
     ~inputs () =
   if Array.length inputs <> n then invalid_arg "Paxos.run: |inputs| <> n";
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ~trace_capacity ?backend
+    Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in

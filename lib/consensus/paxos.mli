@@ -67,7 +67,6 @@ val run :
   ?crashes:(int * int) list ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched:Mm_sim.Sched.t ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   n:int ->
   inputs:int array ->

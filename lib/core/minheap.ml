@@ -1,7 +1,6 @@
-(* A resettable binary min-heap of packed int keys.  The engine and the
-   network pack (step, index) pairs into single non-negative ints, so one
-   int array is the whole structure — no boxing, no comparator calls.
-   Arena reuse keeps the grown backing array across [clear]. *)
+(* A binary min-heap of packed int keys.  The engine and the network
+   pack (step, index) pairs into single non-negative ints, so one int
+   array is the whole structure — no boxing, no comparator calls. *)
 
 type t = {
   mutable a : int array;
@@ -14,7 +13,6 @@ let create ?(capacity = 64) () =
 
 let length t = t.len
 let is_empty t = t.len = 0
-let clear t = t.len <- 0
 
 (* Smallest key, without removing it.  Callers guard with [is_empty]. *)
 let min_key t =

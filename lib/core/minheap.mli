@@ -1,11 +1,10 @@
-(** A resettable binary min-heap of packed int keys.
+(** A binary min-heap of packed int keys.
 
     Callers pack (priority, index) pairs into single non-negative ints
     (e.g. [due * slots + idx]), so the heap is one flat int array: no
-    boxing, no comparator closures, and [clear] keeps the grown backing
-    array for arena reuse.  Duplicate keys are allowed; ties pop in an
-    unspecified but deterministic order (callers that need a total order
-    make the packed key itself unique). *)
+    boxing, no comparator closures.  Duplicate keys are allowed; ties
+    pop in an unspecified but deterministic order (callers that need a
+    total order make the packed key itself unique). *)
 
 type t
 
@@ -16,9 +15,6 @@ val create : ?capacity:int -> unit -> t
 
 val length : t -> int
 val is_empty : t -> bool
-
-(** Drop every key, keeping the backing array. *)
-val clear : t -> unit
 
 (** Smallest key without removing it.  Raises [Invalid_argument] when
     empty. *)

@@ -125,7 +125,7 @@ let omega_process ~n ~eta ~mech ~state_regs ~report me () =
 
 let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
     ?(crashes = []) ?(memory_failures = []) ?(warmup = 60_000)
-    ?(window = 20_000) ?delay ?prepare ?(sched_base = Sched.Random) ?arena
+    ?(window = 20_000) ?delay ?prepare ?(sched_base = Sched.Random)
     ?backend ~variant ~n () =
   let link, mech_of =
     match variant with
@@ -147,7 +147,7 @@ let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
   in
   let sched = Sched.create ~timely sched_base in
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ~sched ?delay ~trace_capacity ?backend
+    Engine.create ~seed ~sched ?delay ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link ~n ()
   in
   let store = Engine.store eng in

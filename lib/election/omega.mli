@@ -74,7 +74,6 @@ val run :
   ?delay:Mm_net.Network.delay ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched_base:Mm_sim.Sched.base ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   variant:variant ->
   n:int ->

@@ -281,7 +281,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
   main_loop 1
 
 let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
-    ?prepare ?sched ?arena ?backend ?(local_reads = true) ?op_timeout ~shards
+    ?prepare ?sched ?backend ?(local_reads = true) ?op_timeout ~shards
     ~replicas ~workload ()
     =
   if shards < 1 then invalid_arg "Kv.run: shards must be >= 1";
@@ -291,7 +291,7 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
   | _ -> ());
   let n = shards * replicas in
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ~trace_capacity ?backend
+    Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in

@@ -65,8 +65,8 @@ type tallies = {
 }
 
 type store = {
-  mutable dom : Domain_.t;
-  mutable backend : Backend.t;
+  dom : Domain_.t;
+  backend : Backend.t;
   per_proc : tallies array;
   mutable regs : int;
   failed_hosts : bool array;
@@ -133,30 +133,6 @@ let create ?(backend = Backend.Native) dom =
     emu_min_live = n;
     transport = no_transport;
   }
-
-let reset ?(backend = Backend.Native) s dom =
-  if Domain_.order dom <> Domain_.order s.dom then
-    invalid_arg "Mem.reset: domain order does not match the store";
-  let n = Domain_.order dom in
-  s.dom <- dom;
-  s.backend <- backend;
-  Array.iter
-    (fun t ->
-      t.t_reads_local <- 0;
-      t.t_reads_remote <- 0;
-      t.t_writes_local <- 0;
-      t.t_writes_remote <- 0)
-    s.per_proc;
-  s.regs <- 0;
-  Array.fill s.failed_hosts 0 (Array.length s.failed_hosts) false;
-  Array.fill s.crashed_hosts 0 (Array.length s.crashed_hosts) false;
-  s.dropped <- 0;
-  s.live <- n;
-  s.healthy <- n;
-  s.blocked <- 0;
-  s.emu_msgs <- 0;
-  s.emu_min_live <- n;
-  s.transport <- no_transport
 
 let backend s = s.backend
 let set_transport s f = s.transport <- f

@@ -90,24 +90,14 @@ val pp_counters : Format.formatter -> counters -> unit
     by [backend] (default [Native]). *)
 val create : ?backend:Backend.t -> Mm_core.Domain.t -> store
 
-(** [reset store domain] returns the store to the state [create domain]
-    would produce, reusing the existing arrays: counters, register
-    count, failed/crashed hosts, dropped-write/blocked-op tallies and
-    the transport hook are all reset, and the backend is switched to
-    [backend] (default [Native] — same default as [create]).  Registers
-    allocated before the reset must no longer be used.  [domain] must
-    have the same order as the store's current domain ([Invalid_argument]
-    otherwise) — arena reuse never changes the system size. *)
-val reset : ?backend:Backend.t -> store -> Mm_core.Domain.t -> unit
-
-(** The backend this store currently realises registers with. *)
+(** The backend this store realises registers with. *)
 val backend : store -> Backend.t
 
 (** [set_transport store f] installs the hook the [Emulated] backend
     charges its quorum traffic to ([f ~sent ~delivered], once per op
     with the round's message count).  The engine points this at its
     network's stats so emulated register ops are visible exactly where
-    real protocol messages are.  Reset clears it to a no-op. *)
+    real protocol messages are.  A fresh store's hook is a no-op. *)
 val set_transport : store -> (sent:int -> delivered:int -> unit) -> unit
 
 (** [note_crash store p] records that host [p] crashed, shrinking the

@@ -73,9 +73,9 @@ let finish_outcome ?wait_reads_local eng mon wait_reads spin_reads reason =
 (* --- Lamport bakery --- *)
 
 let run_bakery ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
-    ?(trace_capacity = 0) ?prepare ?sched ?arena ?backend ~n ~entries () =
+    ?(trace_capacity = 0) ?prepare ?sched ?backend ~n ~entries () =
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ~trace_capacity ?backend
+    Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in
@@ -142,9 +142,9 @@ let run_bakery ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
 (* --- m&m ticket lock with message wake-ups --- *)
 
 let run_mm ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
-    ?(trace_capacity = 0) ?prepare ?sched ?arena ?backend ~n ~entries () =
+    ?(trace_capacity = 0) ?prepare ?sched ?backend ~n ~entries () =
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ~trace_capacity ?backend
+    Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in
@@ -230,9 +230,9 @@ let run_mm ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
 (* --- local-spin ticket lock: the prior-art design point --- *)
 
 let run_local_spin ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
-    ?(trace_capacity = 0) ?prepare ?sched ?arena ?backend ~n ~entries () =
+    ?(trace_capacity = 0) ?prepare ?sched ?backend ~n ~entries () =
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ~trace_capacity ?backend
+    Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in

@@ -49,7 +49,6 @@ val run_bakery :
   ?trace_capacity:int ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched:Mm_sim.Sched.t ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   n:int ->
   entries:int ->
@@ -63,7 +62,6 @@ val run_mm :
   ?trace_capacity:int ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched:Mm_sim.Sched.t ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   n:int ->
   entries:int ->
@@ -88,7 +86,6 @@ val run_local_spin :
   ?trace_capacity:int ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched:Mm_sim.Sched.t ->
-  ?arena:Mm_sim.Arena.t ->
   ?backend:Mm_mem.Mem.Backend.t ->
   n:int ->
   entries:int ->

@@ -79,9 +79,9 @@ type t = {
      past [max_int] and corrupt delivery order; [arm] rejects anything
      beyond it loudly. *)
   max_safe_due : int;
-  mutable net_kind : kind;
-  mutable net_delay : delay;
-  mutable rng : Rng.t;
+  net_kind : kind;
+  net_delay : delay;
+  rng : Rng.t;
   index : index;
   heap : Minheap.t;
   mailboxes : (Id.t * Message.payload) Queue.t array;
@@ -160,40 +160,6 @@ let create ~rng ~n ~kind ?(delay = Uniform (1, 4)) ?index () =
     in_flight_count = 0;
     next_uid = 0;
   }
-
-(* Return the network to the state [create ~rng ~n ~kind ?delay ()] would
-   produce, reusing every structure: queues, wake-ups, mailboxes and
-   adversary state are emptied, stats and uids rewound.  The heap keeps
-   its grown capacity (its live length is zeroed), which is the point of
-   arena reuse. *)
-let reset t ~rng ~kind ?(delay = Uniform (1, 4)) () =
-  validate_kind kind;
-  validate_delay delay;
-  t.net_kind <- kind;
-  t.net_delay <- delay;
-  t.rng <- rng;
-  (match t.index with
-  | Dense links ->
-    Array.iter
-      (fun l ->
-        l.l_queue <- [];
-        l.l_wake <- no_wake;
-        l.l_drop <- 0.0;
-        l.l_delay <- 0)
-      links
-  | Sparse s ->
-    Hashtbl.reset s.tbl;
-    s.pool <- []);
-  Minheap.clear t.heap;
-  Array.iter Queue.clear t.mailboxes;
-  t.parts <- [];
-  t.block_fn <- None;
-  t.observer <- None;
-  t.sent <- 0;
-  t.delivered <- 0;
-  t.dropped <- 0;
-  t.in_flight_count <- 0;
-  t.next_uid <- 0
 
 let order t = t.n
 let kind t = t.net_kind

@@ -46,7 +46,7 @@ type t
     [`Sparse] above, unless {!set_default_index} overrides it.
 
     Delivery wake-ups are packed into int heap keys [due * n² + link];
-    [create]/[reset] compute the largest safe due step and any send or
+    [create] computes the largest safe due step and any send or
     re-arm whose delivery step would overflow the packing raises a
     descriptive [Invalid_argument] instead of silently corrupting
     delivery order. *)
@@ -66,15 +66,6 @@ val set_default_index : [ `Dense | `Sparse ] option -> unit
 
 (** The indexing mode this network was created with. *)
 val indexing : t -> [ `Dense | `Sparse ]
-
-(** [reset t ~rng ~kind ()] returns the network to the state
-    [create ~rng ~n ~kind ?delay ()] would produce, reusing every
-    internal array (queues, wake-ups, mailboxes, adversary state are
-    emptied; stats, uids, the observer and any block function are
-    cleared).  The link kind and delay policy may differ from the ones
-    the network was created with — sweeps vary them per trial.  Same
-    validation as [create]. *)
-val reset : t -> rng:Mm_rng.Rng.t -> kind:kind -> ?delay:delay -> unit -> unit
 
 val order : t -> int
 val kind : t -> kind

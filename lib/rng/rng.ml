@@ -97,6 +97,14 @@ let create seed =
 let copy t =
   { s_hi = t.s_hi; s_lo = t.s_lo; o_hi = t.o_hi; o_lo = t.o_lo; fp = t.fp }
 
+(* The state after [k] steps is the state plus k·gamma (mod 2^64), so a
+   jump costs one limb multiply however far it goes. *)
+let jump t k =
+  if k < 0 || k > mask32 then invalid_arg "Rng.jump: need 0 <= k < 2^32";
+  let lo = t.s_lo + mul32_low k gamma_lo in
+  let hi = t.s_hi + mul32_high k gamma_lo + mul32_low k gamma_hi + (lo lsr 32) in
+  { s_hi = hi land mask32; s_lo = lo land mask32; o_hi = 0; o_lo = 0; fp = -1 }
+
 let bits64 t =
   advance t;
   fold_fp t t.o_lo;

@@ -15,6 +15,13 @@ val create : int -> t
 (** [copy t] duplicates the generator state. *)
 val copy : t -> t
 
+(** [jump t k] is a generator in the state [t] reaches after [k] more
+    steps (one per {!bits64}, {!int}, {!bool}, {!float} or {!split}),
+    computed in O(1) without making the draws; [t] is unchanged.  The
+    result does not fingerprint.  Raises [Invalid_argument] unless
+    [0 <= k < 2^32]. *)
+val jump : t -> int -> t
+
 (** [split t] advances [t] and returns a new generator whose stream is
     independent of the subsequent output of [t]. *)
 val split : t -> t

@@ -1,43 +1,9 @@
-(** A reusable simulator arena.
-
-    Sweeps run thousands of short trials; rebuilding the engine (network
-    queues, mailboxes, store, process table) for each one dominates the
-    fixed per-trial cost.  An arena caches one engine per worker and
-    re-seeds it between trials via {!Engine.reset}, which is observably
-    identical to a fresh {!Engine.create} (the reset path {e is} the
-    create path).  Arenas are single-owner scratch state: never share
-    one across domains. *)
+(** A placeholder kept only for the benchmark program in [perfbench/],
+    which still creates one and passes it to
+    [Mm_check.Scenario.S.execute ~arena].  It carries no state: every
+    trial builds a fresh engine with {!Engine.create}.  The next change
+    to the benchmark drops both uses and this module with them. *)
 
 type t
 
-(** An empty arena; the first {!engine} call populates it. *)
 val create : unit -> t
-
-(** [engine ?arena ... ~n ()] is [Engine.create] with the same optional
-    and labelled arguments, except that when [arena] is given and holds
-    an engine of the same order [n], that engine is re-seeded and
-    returned instead of building a new one.  Without [arena] (or on a
-    size mismatch) it falls back to — and caches — a fresh engine. *)
-val engine :
-  ?arena:t ->
-  ?seed:int ->
-  ?delay:Mm_net.Network.delay ->
-  ?sched:Sched.t ->
-  ?trace_capacity:int ->
-  ?backend:Mm_mem.Mem.Backend.t ->
-  domain:Mm_core.Domain.t ->
-  link:Mm_net.Network.kind ->
-  n:int ->
-  unit ->
-  Engine.t
-
-(** [shape_minor_heap ~words] grows the calling domain's minor heap to
-    [words] (no-op if it is already at least that big).  In OCaml 5
-    every minor collection is a stop-the-world barrier across {e all}
-    domains, so a sweeping domain whose clean trials fit inside its
-    minor heap never interrupts its siblings; call this from a worker
-    before its first trial and size [words] from the
-    [gc/minor-words-per-trial] bench row times the trials per chunk.
-    Purely a GC-pacing knob: allocation behavior is unchanged, so
-    sweep reports are identical with any setting. *)
-val shape_minor_heap : words:int -> unit

@@ -42,7 +42,7 @@ type proc = {
   mutable pending : pending;
   mutable p_status : status;
   mutable steps : int;
-  mutable rng : Rng.t;  (* the process's private coin stream *)
+  rng : Rng.t;  (* the process's private coin stream *)
   (* Crash-recovery entry point, installed by [spawn ?recover]: a
      restarted process loses its fiber (all volatile state) and re-enters
      here, rebuilding from whatever the Mem backend preserved. *)
@@ -82,10 +82,10 @@ type t = {
   n_procs : int;
   net : Network.t;
   mem : Mem.store;
-  mutable dom : Mm_core.Domain.t;
-  mutable sched : Sched.t;
-  mutable sched_rng : Rng.t;
-  mutable seed_rng : Rng.t;  (* parent stream for derive_rng *)
+  dom : Mm_core.Domain.t;
+  sched : Sched.t;
+  sched_rng : Rng.t;
+  seed_rng : Rng.t;  (* parent stream for derive_rng *)
   procs : proc array;
   crash_step : int option array;
   restart_step : int option array;
@@ -96,7 +96,7 @@ type t = {
   (* Staged actions, ascending in step, fired by the run loop once the
      clock reaches them.  The adversary's timeline hook (Nemesis). *)
   mutable actions : (int * (t -> unit)) list;
-  mutable tr : Trace.t option;
+  tr : Trace.t option;
   view : Sched.view;  (* reused every step; see Sched.view *)
   mutable step : int;
   mutable coins : int;
@@ -108,10 +108,6 @@ type t = {
   mutable done_n : int;
   mutable crashed_n : int;
   mutable restarts_pending : int;  (* Somes in [restart_step] *)
-  (* Charges emulated-register quorum rounds to [net]'s stats.  Built
-     once in [create]; [reseed] re-installs it because [Mem.reset]
-     clears the store's hook (reset IS create). *)
-  transport : sent:int -> delivered:int -> unit;
 }
 
 let has_pending p =
@@ -167,67 +163,19 @@ let install_observer t =
       | Network.Drop { src; dst = _ } -> record t src Trace.Dropped
       | Network.Deliver { src; dst } -> record t dst (Trace.Delivered src))
 
-(* The one seeding path, shared by [create] and [reset] so the two can
-   never drift: the order of [root] splits — network, scheduler, the
-   per-process parent (drained in pid order), then the derive stream —
-   is part of the replay contract. *)
-let reseed t ~seed ~delay ~sched ~backend ~domain ~link ~trace_capacity =
-  if Mm_core.Domain.order domain <> t.n_procs then
-    invalid_arg "Engine.reset: domain order does not match n";
-  let root = Rng.create seed in
-  let net_rng = Rng.split root in
-  let sched_rng = Rng.split root in
-  let proc_parent = Rng.split root in
-  Network.reset t.net ~rng:net_rng ~kind:link ?delay ();
-  Mem.reset ~backend t.mem domain;
-  Mem.set_transport t.mem t.transport;
-  t.dom <- domain;
-  t.sched <- (match sched with Some s -> s | None -> Sched.create Sched.Random);
-  t.sched_rng <- sched_rng;
-  Array.iter
-    (fun p ->
-      p.pending <- No_pending;
-      p.p_status <- Unspawned;
-      p.steps <- 0;
-      p.rng <- Rng.split proc_parent;
-      p.recover <- None;
-      p.retry_at <- 0;
-      p.backoff <- 0)
-    t.procs;
-  t.seed_rng <- Rng.split root;
-  Array.fill t.crash_step 0 t.n_procs None;
-  Array.fill t.restart_step 0 t.n_procs None;
-  Array.fill t.frozen 0 t.n_procs false;
-  t.actions <- [];
-  (match t.tr with
-  | Some tr when trace_capacity > 0 && Trace.capacity tr = trace_capacity ->
-    Trace.clear tr
-  | _ ->
-    t.tr <-
-      (if trace_capacity > 0 then Some (Trace.create trace_capacity) else None));
-  t.view.Sched.now <- 0;
-  t.view.Sched.count <- 0;
-  Bytes.fill t.view.Sched.mask 0 t.n_procs '\000';
-  Minheap.clear t.crash_heap;
-  Minheap.clear t.restart_heap;
-  Minheap.clear t.retry_heap;
-  t.ready_n <- 0;
-  t.done_n <- 0;
-  t.crashed_n <- 0;
-  t.restarts_pending <- 0;
-  t.step <- 0;
-  t.coins <- 0;
-  t.sched_log <- None;
-  install_observer t
-
+(* The order of [root] splits — network, scheduler, the per-process
+   parent (drained in pid order), then the derive stream — is part of
+   the replay contract. *)
 let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
     ?(backend = Mem.Backend.Native) ~domain ~link ~n () =
   if n < 1 then invalid_arg "Engine.create: need n >= 1";
   if Mm_core.Domain.order domain <> n then
     invalid_arg "Engine.create: domain order does not match n";
-  (* Placeholder streams; [reseed] below installs the real ones. *)
-  let placeholder = Rng.create 0 in
-  let net = Network.create ~rng:placeholder ~n ~kind:link ?delay () in
+  let root = Rng.create seed in
+  let net_rng = Rng.split root in
+  let sched_rng = Rng.split root in
+  let proc_parent = Rng.split root in
+  let net = Network.create ~rng:net_rng ~n ~kind:link ?delay () in
   let procs =
     Array.init n (fun i ->
         {
@@ -235,27 +183,32 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
           pending = No_pending;
           p_status = Unspawned;
           steps = 0;
-          rng = placeholder;
+          rng = Rng.split proc_parent;
           recover = None;
           retry_at = 0;
           backoff = 0;
         })
   in
+  let seed_rng = Rng.split root in
+  let mem = Mem.create ~backend domain in
+  (* Emulated-register quorum rounds are charged to the network stats. *)
+  Mem.set_transport mem (fun ~sent ~delivered ->
+      Network.account net ~sent ~delivered);
   let t =
     {
       n_procs = n;
       net;
-      mem = Mem.create domain;
+      mem;
       dom = domain;
-      sched = Sched.create Sched.Random;
-      sched_rng = placeholder;
-      seed_rng = placeholder;
+      sched = (match sched with Some s -> s | None -> Sched.create Sched.Random);
+      sched_rng;
+      seed_rng;
       procs;
       crash_step = Array.make n None;
       restart_step = Array.make n None;
       frozen = Array.make n false;
       actions = [];
-      tr = None;
+      tr = (if trace_capacity > 0 then Some (Trace.create trace_capacity) else None);
       view =
         {
           Sched.now = 0;
@@ -274,15 +227,10 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
       done_n = 0;
       crashed_n = 0;
       restarts_pending = 0;
-      transport = (fun ~sent ~delivered -> Network.account net ~sent ~delivered);
     }
   in
-  reseed t ~seed ~delay ~sched ~backend ~domain ~link ~trace_capacity;
+  install_observer t;
   t
-
-let reset t ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
-    ?(backend = Mem.Backend.Native) ~domain ~link () =
-  reseed t ~seed ~delay ~sched ~backend ~domain ~link ~trace_capacity
 
 let n t = t.n_procs
 let store t = t.mem

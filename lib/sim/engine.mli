@@ -48,28 +48,6 @@ val create :
   unit ->
   t
 
-(** [reset t ~domain ~link ()] re-seeds an existing engine in place,
-    leaving it observably identical to what
-    [create ?seed ?delay ?sched ?trace_capacity ~domain ~link ~n ()]
-    would return (same defaults, same derivation order of every random
-    stream — [create] itself is implemented on top of this path).  All
-    internal arrays, the network, the store and (capacity permitting)
-    the trace buffer are recycled, so a sweep worker can allocate one
-    engine arena and re-seed it per trial.  [domain] must have order
-    [n t] ([Invalid_argument] otherwise).  Registers allocated against
-    the old store and any recorded schedule are invalidated. *)
-val reset :
-  t ->
-  ?seed:int ->
-  ?delay:Mm_net.Network.delay ->
-  ?sched:Sched.t ->
-  ?trace_capacity:int ->
-  ?backend:Mm_mem.Mem.Backend.t ->
-  domain:Mm_core.Domain.t ->
-  link:Mm_net.Network.kind ->
-  unit ->
-  unit
-
 val n : t -> int
 val store : t -> Mm_mem.Mem.store
 

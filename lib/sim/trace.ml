@@ -28,12 +28,6 @@ let create capacity =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   { buf = Array.make capacity None; next = 0 }
 
-let capacity t = Array.length t.buf
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.next <- 0
-
 let record t e =
   t.buf.(t.next mod Array.length t.buf) <- Some e;
   t.next <- t.next + 1

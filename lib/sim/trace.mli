@@ -32,14 +32,6 @@ val create : int -> t
 
 val record : t -> event -> unit
 
-(** The ring capacity the trace was created with. *)
-val capacity : t -> int
-
-(** [clear t] forgets every recorded event, leaving [t] as [create]
-    returned it.  Used by arena reuse to recycle the buffer across
-    trials. *)
-val clear : t -> unit
-
 (** Events in chronological order (oldest first). *)
 val to_list : t -> event list
 

@@ -292,9 +292,9 @@ let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me ()
   main_loop 1
 
 let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
-    ?(crashes = []) ?prepare ?sched ?arena ?backend ~n ~commands_per_proc () =
+    ?(crashes = []) ?prepare ?sched ?backend ~n ~commands_per_proc () =
   let eng =
-    Mm_sim.Arena.engine ?arena ~seed ?sched ~trace_capacity ?backend
+    Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in

@@ -59,8 +59,11 @@ let () =
         (List.length Registry.all))
     Mem.Backend.all;
   let big =
-    Runner.check_hbo ~master_seed:11 ~budget:2
-      ~graph:(B.ring 256) ()
+    Runner.sweep
+      (module Mm_check.Scenario_hbo)
+      ~master_seed:11 ~budget:2
+      ~params:{ Scenario.default_params with graph = Some (B.ring 256) }
+      ()
   in
   Format.printf "[n=256 ring] %a" Runner.pp_report big;
   if big.Runner.violation <> None then failed := true;

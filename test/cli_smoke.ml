@@ -26,6 +26,20 @@ let bad =
     ([], [ "paxos"; "--oracle"; "nope" ]);
     ([], [ "experiment"; "E99" ]);
     ([], [ "kv"; "--timeout"; "0" ]);
+    ([], [ "kv"; "--shards"; "0" ]);
+    ([], [ "kv"; "--replicas"; "0" ]);
+    ([], [ "kv"; "--clients"; "0" ]);
+    ([], [ "kv"; "--keys"; "0" ]);
+    ([], [ "election"; "-n"; "0" ]);
+    ([], [ "paxos"; "-n"; "0" ]);
+    ([], [ "smr"; "-n"; "0" ]);
+    ([], [ "mutex"; "--n"; "0" ]);
+    ([], [ "check"; "hbo"; "--n"; "0" ]);
+    ([], [ "check"; "omega"; "--n"; "0" ]);
+    ([], [ "check"; "abd"; "--n"; "0" ]);
+    ([], [ "check"; "paxos"; "--n"; "0" ]);
+    ([], [ "check"; "kv"; "--n"; "0" ]);
+    ([], [ "check"; "hbo"; "--expect-stall"; "-n"; "4" ]);
   ]
 
 let good =

@@ -333,8 +333,29 @@ let test_pool_jobs_capped_by_chunk_count () =
 
 (* --- Runner: end-to-end sweeps (kept small; see the @check alias) --- *)
 
+let hbo = (module Mm_check.Scenario_hbo : Scenario.S)
+let omega = (module Mm_check.Scenario_omega : Scenario.S)
+let abd = (module Mm_check.Scenario_abd : Scenario.S)
+
+let hbo_params ?max_crashes ?(expect_stall = false) graph =
+  { Scenario.default_params with graph = Some graph; max_crashes; expect_stall }
+
+let omega_params =
+  {
+    Scenario.default_params with
+    n = 3;
+    variant = Omega.Reliable;
+    crash_window = Some 4_000;
+    warmup = Some 30_000;
+    window = Some 5_000;
+  }
+
+let abd_params = { Scenario.default_params with n = 4 }
+
 let test_hbo_clique_within_bound_clean () =
-  let report = Runner.check_hbo ~budget:30 ~graph:(B.complete 4) () in
+  let report =
+    Runner.sweep hbo ~budget:30 ~params:(hbo_params (B.complete 4)) ()
+  in
   (match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -347,9 +368,8 @@ let test_hbo_past_bound_finds_stall_and_replays () =
      sweep draw clique-killing crash sets, which break the represented
      majority and stall consensus — a termination violation. *)
   let graph = B.disjoint_cliques ~cliques:2 ~k:3 in
-  let report =
-    Runner.check_hbo ~master_seed:1 ~budget:200 ~max_crashes:3 ~graph ()
-  in
+  let params = hbo_params ~max_crashes:3 graph in
+  let report = Runner.sweep hbo ~master_seed:1 ~budget:200 ~params () in
   match report.Runner.violation with
   | None -> Alcotest.fail "expected a termination violation past the bound"
   | Some cx ->
@@ -357,8 +377,7 @@ let test_hbo_past_bound_finds_stall_and_replays () =
     Alcotest.(check bool) "trace captured" true (cx.Runner.trace <> []);
     (* replaying the reported seed must reproduce the identical run *)
     let replayed =
-      Runner.replay_hbo ~max_crashes:3 ~graph ~trial_seed:cx.Runner.trial_seed
-        ()
+      Runner.replay hbo ~params ~trial_seed:cx.Runner.trial_seed ()
     in
     (match replayed.Runner.violation with
     | None -> Alcotest.fail "replay lost the violation"
@@ -375,7 +394,9 @@ let test_hbo_expect_stall_on_sm_cut () =
   (* Thm 4.4 scenario on the disconnected graph: crash the (empty) cut
      boundary, partition S from T — consensus must NOT terminate. *)
   let graph = B.disjoint_cliques ~cliques:2 ~k:2 in
-  let report = Runner.check_hbo ~budget:5 ~expect_stall:true ~graph () in
+  let report =
+    Runner.sweep hbo ~budget:5 ~params:(hbo_params ~expect_stall:true graph) ()
+  in
   match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -383,7 +404,7 @@ let test_hbo_expect_stall_on_sm_cut () =
       cx.Runner.detail
 
 let test_abd_sweep_clean () =
-  let report = Runner.check_abd ~budget:40 ~n:4 () in
+  let report = Runner.sweep abd ~budget:40 ~params:abd_params () in
   match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -391,10 +412,7 @@ let test_abd_sweep_clean () =
       cx.Runner.detail
 
 let test_omega_sweep_clean () =
-  let report =
-    Runner.check_omega ~budget:3 ~crash_window:4_000 ~warmup:30_000
-      ~window:5_000 ~variant:Omega.Reliable ~n:3 ()
-  in
+  let report = Runner.sweep omega ~budget:3 ~params:omega_params () in
   match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -404,7 +422,8 @@ let test_omega_sweep_clean () =
 let test_report_pp_mentions_replay_seed () =
   let graph = B.disjoint_cliques ~cliques:2 ~k:3 in
   let report =
-    Runner.check_hbo ~master_seed:1 ~budget:200 ~max_crashes:3 ~graph ()
+    Runner.sweep hbo ~master_seed:1 ~budget:200
+      ~params:(hbo_params ~max_crashes:3 graph) ()
   in
   match report.Runner.violation with
   | None -> Alcotest.fail "expected a violation"
@@ -553,7 +572,8 @@ let test_hbo_jobs_deterministic () =
      must report the identical trial/seed/shrunk config as jobs=1. *)
   let graph = B.disjoint_cliques ~cliques:2 ~k:3 in
   let sweep jobs =
-    Runner.check_hbo ~master_seed:1 ~budget:200 ~jobs ~max_crashes:3 ~graph ()
+    Runner.sweep hbo ~master_seed:1 ~budget:200 ~jobs
+      ~params:(hbo_params ~max_crashes:3 graph) ()
   in
   let r1 = sweep 1 in
   Alcotest.(check bool) "violation found" true (r1.Runner.violation <> None);
@@ -563,14 +583,11 @@ let test_hbo_jobs_deterministic () =
     [ 2; 4; 8 ]
 
 let test_omega_jobs_deterministic () =
-  let sweep jobs =
-    Runner.check_omega ~budget:4 ~jobs ~crash_window:4_000 ~warmup:30_000
-      ~window:5_000 ~variant:Omega.Reliable ~n:3 ()
-  in
+  let sweep jobs = Runner.sweep omega ~budget:4 ~jobs ~params:omega_params () in
   check_same_report "omega" (sweep 1) (sweep 4)
 
 let test_abd_jobs_deterministic () =
-  let sweep jobs = Runner.check_abd ~budget:40 ~jobs ~n:4 () in
+  let sweep jobs = Runner.sweep abd ~budget:40 ~jobs ~params:abd_params () in
   check_same_report "abd" (sweep 1) (sweep 4)
 
 let test_registry_jobs_deterministic () =
@@ -588,40 +605,6 @@ let test_registry_jobs_deterministic () =
           check_same_report (Printf.sprintf "%s jobs=%d" S.name jobs) r1
             (sweep jobs))
         [ 2; 8 ])
-    Registry.all
-
-(* --- Arena reuse: reset must be observably identical to create --- *)
-
-(* A deep trace tail so byte-identity covers the full engine event
-   stream, not just the monitor verdicts. *)
-let arena_params = { smoke_params with Scenario.trace_tail = 400 }
-
-let test_arena_reset_differential () =
-  (* For every registered scenario: execute trials in a warmed arena
-     (reset path) and from scratch (create path) and demand identical
-     traces and monitor verdicts.  The arena is warmed first so every
-     compared execution really goes through [Engine.reset]. *)
-  List.iter
-    (fun (module S : Scenario.S) ->
-      let cfg = S.cfg_of_params arena_params in
-      let arena = Mm_sim.Arena.create () in
-      ignore (S.execute ~arena cfg (S.gen cfg (Rng.create 1000)));
-      for seed = 0 to 4 do
-        let t = S.gen cfg (Rng.create seed) in
-        let fresh = S.execute cfg t in
-        let reused = S.execute ~arena cfg t in
-        let verdicts o =
-          List.map (fun (name, m) -> (name, m o)) (S.monitors cfg t)
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s seed %d: identical trace" S.name seed)
-          true
-          (S.trace fresh = S.trace reused);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s seed %d: identical verdicts" S.name seed)
-          true
-          (verdicts fresh = verdicts reused)
-      done)
     Registry.all
 
 (* --- Memory backends: the Scenario x backend matrix --- *)
@@ -667,50 +650,6 @@ let test_registry_emulated_jobs_deterministic () =
             (Printf.sprintf "%s emulated jobs=%d" S.name jobs)
             r1 (sweep jobs))
         [ 2; 8 ])
-    Registry.all
-
-let test_arena_backend_reset_differential () =
-  (* Reset-is-create must hold per backend AND across backends: a trial
-     executed in an arena last used by the OTHER backend must be
-     byte-identical to a fresh execution — no emulation state (crash
-     vectors, transport closures, message tallies) bleeds through an
-     arena reset.  This is exactly the sweep situation when the same
-     worker arena serves native and emulated sweeps back to back. *)
-  let params_of backend = { arena_params with Scenario.backend } in
-  List.iter
-    (fun (module S : Scenario.S) ->
-      let arena = Mm_sim.Arena.create () in
-      List.iter
-        (fun (backend, warm_backend) ->
-          let warm_cfg = S.cfg_of_params (params_of warm_backend) in
-          ignore (S.execute ~arena warm_cfg (S.gen warm_cfg (Rng.create 999)));
-          let cfg = S.cfg_of_params (params_of backend) in
-          for seed = 0 to 2 do
-            let t = S.gen cfg (Rng.create seed) in
-            let fresh = S.execute cfg t in
-            let reused = S.execute ~arena cfg t in
-            let verdicts o =
-              List.map (fun (name, m) -> (name, m o)) (S.monitors cfg t)
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s %s-after-%s seed %d: identical trace"
-                 S.name
-                 (Mm_mem.Mem.Backend.name backend)
-                 (Mm_mem.Mem.Backend.name warm_backend)
-                 seed)
-              true
-              (S.trace fresh = S.trace reused);
-            Alcotest.(check bool)
-              (Printf.sprintf "%s %s-after-%s seed %d: identical verdicts"
-                 S.name
-                 (Mm_mem.Mem.Backend.name backend)
-                 (Mm_mem.Mem.Backend.name warm_backend)
-                 seed)
-              true
-              (verdicts fresh = verdicts reused)
-          done)
-        Mm_mem.Mem.Backend.
-          [ (Emulated, Native); (Native, Emulated); (Emulated, Emulated) ])
     Registry.all
 
 let test_backend_net_delta () =
@@ -858,16 +797,6 @@ let test_dedup_accounting () =
       check_same_report (Printf.sprintf "dedup jobs=%d" jobs) r (sweep jobs))
     [ 2; 8 ]
 
-let test_dedup_reuse_off_identical () =
-  (* Arena reuse and dedup are independent mechanisms: turning reuse
-     off must not change the report either. *)
-  let sweep reuse =
-    Runner.sweep
-      (module Dedup_abd)
-      ~master_seed:3 ~budget:16 ~reuse_arenas:reuse ~params:dedup_params ()
-  in
-  check_same_report "reuse on/off" (sweep true) (sweep false)
-
 let test_dedup_never_hides_violation () =
   (* Starved mutex with quantized generation: a violating fingerprint
      recurs across trial indices, but a violating fingerprint never
@@ -957,7 +886,20 @@ let test_domain_stats_account_for_trials () =
   Alcotest.(check int) "sequential: row covers the sweep"
     seq_report.Runner.trials_run seq.(0).Runner.claimed;
   Alcotest.(check int) "sequential: dedup hits = deduped"
-    seq_report.Runner.deduped seq.(0).Runner.dedup_hits
+    seq_report.Runner.deduped seq.(0).Runner.dedup_hits;
+  (* A violating sequential sweep stops at the hit: its one row claimed
+     exactly the trials the report covers. *)
+  let starved = { Scenario.default_params with n = 4; max_steps = Some 60 } in
+  let vio_report, vio =
+    Runner.sweep_stats
+      (module Mm_check.Scenario_mutex)
+      ~master_seed:1 ~budget:40 ~params:starved ()
+  in
+  Alcotest.(check bool) "sequential: violation found" true
+    (vio_report.Runner.violation <> None);
+  Alcotest.(check int) "sequential violating: one row" 1 (Array.length vio);
+  Alcotest.(check int) "sequential violating: claimed = trials_run"
+    vio_report.Runner.trials_run vio.(0).Runner.claimed
 
 let test_minor_heap_restored_after_parallel_sweep () =
   (* Workers pre-size their minor heap (MM_CHECK_MINOR_HEAP override);
@@ -975,6 +917,24 @@ let test_minor_heap_restored_after_parallel_sweep () =
       in
       Alcotest.(check int) "sweep ran" 8 report.Runner.trials_run;
       Alcotest.(check int) "main domain's minor heap restored" before
+        (Gc.get ()).Gc.minor_heap_size)
+
+let test_sequential_sweep_leaves_minor_heap () =
+  (* Only a parallel sweep shapes worker minor heaps: ask for one twice
+     the current size and check that a jobs = 1 sweep leaves the
+     caller's setting alone. *)
+  let before = (Gc.get ()).Gc.minor_heap_size in
+  Unix.putenv "MM_CHECK_MINOR_HEAP" (string_of_int (2 * before));
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "MM_CHECK_MINOR_HEAP" "")
+    (fun () ->
+      let report =
+        Runner.sweep
+          (module Dedup_abd)
+          ~master_seed:2 ~budget:8 ~jobs:1 ~params:dedup_params ()
+      in
+      Alcotest.(check int) "sweep ran" 8 report.Runner.trials_run;
+      Alcotest.(check int) "minor heap unchanged" before
         (Gc.get ()).Gc.minor_heap_size)
 
 (* --- Nemesis: staged fault-injection timelines --- *)
@@ -1433,11 +1393,6 @@ let () =
           Alcotest.test_case "every scenario jobs=1 = jobs=2/8" `Quick
             test_registry_jobs_deterministic;
         ] );
-      ( "arena",
-        [
-          Alcotest.test_case "reset = fresh, every scenario" `Quick
-            test_arena_reset_differential;
-        ] );
       ( "backend",
         [
           Alcotest.test_case "default crash budgets capped" `Quick
@@ -1446,8 +1401,6 @@ let () =
             test_registry_emulated_sweeps_clean;
           Alcotest.test_case "emulated jobs=1 = jobs=2/8" `Quick
             test_registry_emulated_jobs_deterministic;
-          Alcotest.test_case "arena reset across backends" `Quick
-            test_arena_backend_reset_differential;
           Alcotest.test_case "net delta: native 0, emulated one round" `Quick
             test_backend_net_delta;
           Alcotest.test_case "fingerprints disjoint across backends" `Quick
@@ -1459,8 +1412,6 @@ let () =
         [
           Alcotest.test_case "duplicates counted not re-run" `Quick
             test_dedup_accounting;
-          Alcotest.test_case "reuse on/off identical" `Quick
-            test_dedup_reuse_off_identical;
           Alcotest.test_case "violations never deduped" `Quick
             test_dedup_never_hides_violation;
           Alcotest.test_case "merge across domains" `Quick
@@ -1469,6 +1420,8 @@ let () =
             test_domain_stats_account_for_trials;
           Alcotest.test_case "minor heap restored" `Quick
             test_minor_heap_restored_after_parallel_sweep;
+          Alcotest.test_case "sequential sweep leaves minor heap" `Quick
+            test_sequential_sweep_leaves_minor_heap;
         ] );
       ( "nemesis",
         [

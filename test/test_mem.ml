@@ -280,31 +280,6 @@ let test_emulated_masks_memory_failure () =
   Alcotest.(check int) "emulated: majority loss drops" 9 (Mem.peek re);
   Alcotest.(check int) "emulated: drop counted" 1 (Mem.dropped_writes emu)
 
-(* [reset] re-initialises everything backend-shaped in place: the
-   backend itself, crash/health tracking, emulation counters and the
-   transport closure. *)
-let test_reset_switches_backend () =
-  let store = Mem.create ~backend:Mem.Backend.Emulated (Domain.full 2) in
-  let calls = ref 0 in
-  Mem.set_transport store (fun ~sent:_ ~delivered:_ -> incr calls);
-  let r = Mem.alloc store ~name:"x" ~owner:(id 0) ~shared_with:[ id 1 ] 0 in
-  Mem.write r ~by:(id 0) 1;
-  Mem.note_crash store (id 1);
-  Alcotest.(check bool) "emu ran" true (Mem.emulated_msgs store > 0);
-  Mem.reset store (Domain.full 2);
-  Alcotest.(check bool) "backend back to native" true
-    (Mem.backend store = Mem.Backend.Native);
-  Alcotest.(check int) "live restored" 2 (Mem.live_hosts store);
-  Alcotest.(check int) "emu msgs cleared" 0 (Mem.emulated_msgs store);
-  Alcotest.(check int) "blocked cleared" 0 (Mem.blocked_ops store);
-  let r' = Mem.alloc store ~name:"x" ~owner:(id 0) ~shared_with:[ id 1 ] 0 in
-  let before = !calls in
-  Mem.write r' ~by:(id 0) 1;
-  Alcotest.(check int) "transport uninstalled" before !calls;
-  Mem.reset ~backend:Mem.Backend.Emulated store (Domain.full 2);
-  Alcotest.(check bool) "backend emulated again" true
-    (Mem.backend store = Mem.Backend.Emulated)
-
 let test_backend_names () =
   List.iter
     (fun (name, b) ->
@@ -359,8 +334,6 @@ let () =
             test_emulated_unavailable;
           Alcotest.test_case "emulated masks memory failure" `Quick
             test_emulated_masks_memory_failure;
-          Alcotest.test_case "reset switches backend" `Quick
-            test_reset_switches_backend;
           Alcotest.test_case "backend names" `Quick test_backend_names;
         ] );
     ]

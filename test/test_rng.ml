@@ -26,6 +26,30 @@ let test_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.bits64 a) (Rng.bits64 b)
 
+let test_jump () =
+  List.iter
+    (fun seed ->
+      let master = Rng.create seed in
+      let seq = Rng.create seed in
+      for k = 0 to 2000 do
+        Alcotest.(check int64)
+          (Printf.sprintf "seed %d: jump %d = %d steps" seed k k)
+          (Rng.bits64 seq)
+          (Rng.bits64 (Rng.jump master k))
+      done;
+      (* Far jumps carry across the state's 32-bit limbs; they compose. *)
+      let far = (1 lsl 32) - 1 in
+      Alcotest.(check int64)
+        (Printf.sprintf "seed %d: jumps compose" seed)
+        (Rng.bits64 (Rng.jump master far))
+        (Rng.bits64 (Rng.jump (Rng.jump master (1 lsl 31)) (far - (1 lsl 31)))))
+    [ 0; 1; -1; max_int; 0x5EED ];
+  let r = Rng.create 1 in
+  Alcotest.check_raises "negative" (Invalid_argument "Rng.jump: need 0 <= k < 2^32")
+    (fun () -> ignore (Rng.jump r (-1)));
+  Alcotest.check_raises "too far" (Invalid_argument "Rng.jump: need 0 <= k < 2^32")
+    (fun () -> ignore (Rng.jump r (1 lsl 32)))
+
 let test_int_bounds () =
   let r = Rng.create 11 in
   for _ = 1 to 1000 do
@@ -228,6 +252,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_split_independence;
           Alcotest.test_case "copy" `Quick test_copy;
+          Alcotest.test_case "jump" `Quick test_jump;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int invalid" `Quick test_int_invalid;
           Alcotest.test_case "float range" `Quick test_float_range;

@@ -186,8 +186,8 @@ let parse_json (s : string) : json =
 (* (kernel, ns_per_run option) in file order; None = bechamel produced
    no estimate (emitted as null).  Fixed-budget kernels — the sweep
    kernels (check/<name>-sweep, check/<name>-nemesis), the derived
-   throughput rows (arena-reuse speedup, dedup hit rate, GC words per
-   trial, whose "ns_per_run" holds the derived metric), every kv/*
+   throughput rows (dedup hit rate, GC words per trial, whose
+   "ns_per_run" holds the derived metric), every kv/*
    latency row (whose "budget" is the request count driven), and every
    mem/* backend-overhead row (whose "budget" is the op count) — must
    additionally carry a "budget" field, the trial count they ran, as a
@@ -200,7 +200,6 @@ let requires_budget kernel =
   || String.starts_with ~prefix:"check/sweep-scaling-" kernel
   || String.starts_with ~prefix:"kv/" kernel
   || String.starts_with ~prefix:"mem/" kernel
-  || String.equal kernel "check/arena-reuse-speedup"
   || String.equal kernel "check/dedup-hit-rate"
   || String.equal kernel "gc/minor-words-per-trial"
 
