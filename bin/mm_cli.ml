@@ -91,6 +91,17 @@ let pos_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* A drop probability: finite, 0 <= p < 1 (what [Network] accepts).
+   Written so that NaN is rejected too. *)
+let probability =
+  let parse s =
+    match float_of_string_opt (String.trim s) with
+    | Some p when p >= 0.0 && p < 1.0 -> Ok p
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a probability in [0, 1), got %S" s))
+  in
+  Arg.conv ~docv:"P" (parse, Format.pp_print_float)
+
 let n_arg default =
   Arg.(value & opt pos_int default & info [ "n" ] ~docv:"N"
          ~doc:"Number of processes.")
@@ -404,7 +415,7 @@ let kv_cmd =
 
 let election_cmd =
   let drop_arg =
-    Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
+    Arg.(value & opt probability 0.3 & info [ "drop" ] ~docv:"P"
            ~doc:"Drop probability for the lossy variant.")
   in
   let run variant drop n seed crashes =
@@ -538,7 +549,7 @@ let check_cmd =
            ~doc:"Step budget per trial.")
   in
   let drop_arg =
-    Arg.(value & opt float 0.3 & info [ "drop" ] ~docv:"P"
+    Arg.(value & opt probability 0.3 & info [ "drop" ] ~docv:"P"
            ~doc:"Max drop probability swept for omega's lossy variant.")
   in
   let expect_stall_arg =

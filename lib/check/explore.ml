@@ -43,14 +43,18 @@ let pct ~seed ~n ~k ~depth =
       total := !total +. weight.(view.Sched.runnable.(i))
     done;
     let x = Rng.float rng *. !total in
-    let rec walk acc i =
-      if i = count - 1 then view.Sched.runnable.(i)
-      else
-        let p = view.Sched.runnable.(i) in
-        let acc = acc +. weight.(p) in
-        if x < acc then p else walk acc (i + 1)
-    in
-    walk 0.0 0
+    (* A loop over local refs, not a recursive closure, so the running
+       sum stays unboxed; it adds the weights in the same order. *)
+    let acc = ref 0.0 and i = ref 0 and chosen = ref (-1) in
+    while !chosen < 0 do
+      let p = view.Sched.runnable.(!i) in
+      if !i = count - 1 then chosen := p
+      else begin
+        acc := !acc +. weight.(p);
+        if x < !acc then chosen := p else incr i
+      end
+    done;
+    !chosen
   in
   Sched.create (Sched.Custom choose)
 

@@ -135,15 +135,18 @@ let shape_minor_heap ~words =
 (* The domain-local trial state of one sweep worker.  Nothing in here is
    ever touched by another domain while the pool runs: the dedup memo is
    private (a duplicate first seen by two different domains executes in
-   both — wasted work, never a wrong number), and the (index,
-   fingerprint) log is merged into the shared per-trial array only after
-   the pool has joined.  Between claiming a chunk and reporting, a
+   both — wasted work, never a wrong number), the (index, fingerprint)
+   log is merged into the shared per-trial array only after the pool has
+   joined, and [hit] stashes this domain's lowest-index violating
+   execution so the counterexample is packaged from it instead of
+   re-running the trial.  Between claiming a chunk and reporting, a
    worker therefore shares no mutable state with its siblings. *)
-type wctx = {
+type 'hit wctx = {
   memo : (int, unit) Hashtbl.t;  (* fingerprints THIS domain saw clean *)
   mutable logged : (int * int) list;  (* (trial index, fingerprint) *)
   mutable executed : int;
   mutable dedup_hits : int;
+  mutable hit : (int * 'hit) option;  (* lowest violating index + its run *)
 }
 
 (* Driving one scenario: a trial is gen + execute + monitors, and a
@@ -151,6 +154,10 @@ type wctx = {
    scenario's [shrink], re-running candidate trials and keeping a
    reduction only if the same property still fails. *)
 module Drive (Sc : Scenario.S) = struct
+  (* One violating execution: the trial, its outcome and the first
+     failing monitor's (property, detail). *)
+  type hit = Sc.trial * Sc.outcome * (string * string)
+
   (* Generate the trial and digest the full draw stream.  Equal
      fingerprints mean byte-identical draw streams, hence identical
      trials, hence identical outcomes — the soundness premise of the
@@ -163,40 +170,46 @@ module Drive (Sc : Scenario.S) = struct
 
   let check cfg t =
     let o = Sc.execute cfg t in
-    Monitor.first_failure (Sc.monitors cfg t) o
-
-  let run_trial cfg ~trial ~trial_seed =
-    let t = Sc.gen cfg (Rng.create trial_seed) in
-    let o = Sc.execute cfg t in
     match Monitor.first_failure (Sc.monitors cfg t) o with
     | None -> None
-    | Some (property, detail) ->
-      let still_fails cand =
-        match check cfg cand with
-        | Some (p, _) -> String.equal p property
-        | None -> false
-      in
-      Some
-        {
-          trial;
-          trial_seed;
-          property;
-          detail;
-          config = Sc.config cfg t;
-          shrunk = Sc.shrink cfg ~still_fails t;
-          trace = Sc.trace o;
-        }
+    | Some failure -> Some ((t, o, failure) : hit)
+
+  (* Package an already-executed violating trial: shrink it (the only
+     executions this costs are the candidates') and keep the detecting
+     run's trace. *)
+  let counterexample cfg ~trial ~trial_seed ((t, o, (property, detail)) : hit)
+      =
+    let still_fails cand =
+      match check cfg cand with
+      | Some (_, _, (p, _)) -> String.equal p property
+      | None -> false
+    in
+    {
+      trial;
+      trial_seed;
+      property;
+      detail;
+      config = Sc.config cfg t;
+      shrunk = Sc.shrink cfg ~still_fails t;
+      trace = Sc.trace o;
+    }
+
+  let run_trial cfg ~trial ~trial_seed =
+    check cfg (Sc.gen cfg (Rng.create trial_seed))
+    |> Option.map (counterexample cfg ~trial ~trial_seed)
 end
 
 (* Sweeps come in two phases so that fan-out stays deterministic:
-   detection is the cheap violation predicate run (possibly in
-   parallel) on every trial seed, and [run_trial] re-runs one trial in
-   full — including delta-debug shrinking — to package the
-   counterexample.  Every sweep runs detection through the domain pool
-   (with one worker it runs inline on the calling domain); the reported
-   violation is the one with the lowest trial index among all hits (not
-   the first to complete), and shrinking runs single-threaded on that
-   trial's seed, so reports are bit-for-bit identical at every [jobs].
+   detection runs gen + execute + monitors (possibly in parallel) on
+   every trial seed, each domain stashing its lowest-index violating
+   execution; packaging then builds the counterexample from the stash
+   of the lowest index among all hits (not the first to complete) —
+   its config and trace come from the detecting execution, and
+   delta-debug shrinking runs single-threaded on it — so a hunt runs
+   its violating trial once and reports are bit-for-bit identical at
+   every [jobs].  [run_trial] (gen + execute + package on a seed) is
+   only for {!replay}.  Every sweep runs detection through the domain
+   pool (with one worker it runs inline on the calling domain).
 
    Every trial builds a fresh engine.  Clean trials whose generation
    fingerprint was already seen clean {e by the same domain} are
@@ -253,7 +266,13 @@ let sweep_stats (module Sc : Scenario.S) ?(master_seed = 1) ?budget ?(jobs = 1)
        complete without triggering a cross-domain stop-the-world
        collection.  A sequential sweep leaves the GC alone. *)
     if jobs > 1 then shape_minor_heap ~words:(minor_heap_words ());
-    { memo = Hashtbl.create 64; logged = []; executed = 0; dedup_hits = 0 }
+    {
+      memo = Hashtbl.create 64;
+      logged = [];
+      executed = 0;
+      dedup_hits = 0;
+      hit = None;
+    }
   in
   let detect ctx i =
     let t, fp =
@@ -270,7 +289,11 @@ let sweep_stats (module Sc : Scenario.S) ?(master_seed = 1) ?budget ?(jobs = 1)
       | None ->
         Hashtbl.add ctx.memo fp ();
         false
-      | Some _ -> true
+      | Some h ->
+        (match ctx.hit with
+        | Some (j, _) when j < i -> ()
+        | Some _ | None -> ctx.hit <- Some (i, h));
+        true
     end
   in
   let saved_minor = (Gc.get ()).Gc.minor_heap_size in
@@ -304,13 +327,20 @@ let sweep_stats (module Sc : Scenario.S) ?(master_seed = 1) ?budget ?(jobs = 1)
   in
   match r.Pool.found with
   | None -> (finish ~trials_run:(max budget 0) ~violation:None, stats)
-  | Some i -> (
-    match D.run_trial cfg ~trial:i ~trial_seed:(nth_trial_seed master i) with
-    | Some cx -> (finish ~trials_run:(i + 1) ~violation:(Some cx), stats)
-    | None ->
-      (* A trial is a pure function of its seed, so the detect hit must
-         reproduce. *)
-      assert false)
+  | Some i ->
+    (* Every index at or below the frontier was evaluated by exactly one
+       worker, so exactly one domain stashed trial [i]. *)
+    let h =
+      Array.fold_left
+        (fun acc ctx ->
+          match ctx.hit with Some (j, h) when j = i -> Some h | _ -> acc)
+        None r.Pool.ctxs
+      |> Option.get
+    in
+    let cx =
+      D.counterexample cfg ~trial:i ~trial_seed:(nth_trial_seed master i) h
+    in
+    (finish ~trials_run:(i + 1) ~violation:(Some cx), stats)
 
 let sweep sc ?master_seed ?budget ?jobs ?chunk ~params () =
   fst (sweep_stats sc ?master_seed ?budget ?jobs ?chunk ~params ())

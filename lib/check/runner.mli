@@ -13,8 +13,11 @@
     out across a {!Pool} of OCaml 5 domains.  Reports stay bit-for-bit
     identical to a sequential sweep regardless of [jobs]: the reported
     counterexample is the one with the {e lowest trial index} among all
-    violations found (not the first to complete across domains), and
-    shrinking re-runs single-threaded on that trial's seed.
+    violations found (not the first to complete across domains).  It is
+    packaged from the execution that detected it — config and trailing
+    trace come from that run, and shrinking runs single-threaded on its
+    trial — so a sweep executes its violating trial once; only {!replay}
+    re-executes a trial from its seed.
 
     This engine exists exactly once; every checker is a {!Scenario.S}
     module (see {!Registry.all}), driven through {!sweep} and
@@ -114,8 +117,9 @@ val sweep :
     {!domain_stat} per worker domain that ran (worker 0 is the calling
     domain; length 1 for a sequential sweep, and possibly fewer than
     [jobs] — the pool never spawns a domain with no chunk to claim).
-    The violating trial's single-threaded re-run and shrink are not
-    counted.  The report is identical to {!sweep}'s. *)
+    The violating trial's detecting execution is counted in its
+    domain's [executed]; the single-threaded shrink candidates are not.
+    The report is identical to {!sweep}'s. *)
 val sweep_stats :
   Scenario.t ->
   ?master_seed:int ->

@@ -196,30 +196,30 @@ let alloc s ~name ~owner ~shared_with init =
     value = init;
   }
 
-(* Membership in the sorted member ids: a short linear scan (registers
-   are nearly always small neighborhoods, and the scan is branch-
-   predictable and allocation-free) narrowed by binary search above 8
-   members.  Tail calls only — no ref cells — so the register hot path
-   stays unboxed.  No bound on [by] needed: anything absent is a
-   violation. *)
+(* Membership of [i] in the sorted member ids [a]: a short linear scan
+   (registers are nearly always small neighborhoods, and the scan is
+   branch-predictable and allocation-free) narrowed by binary search
+   above 8 members.  Top-level functions with tail calls only — no
+   closures over [a] and [i], no ref cells — so a memo miss allocates
+   nothing.  No bound on [i] needed: anything absent is a violation. *)
+let rec scan a i j hi =
+  j < hi
+  &&
+  let v = Array.unsafe_get a j in
+  v = i || (v < i && scan a i (j + 1) hi)
+
+let rec is_member a i lo hi =
+  if hi - lo <= 8 then scan a i lo hi
+  else
+    let mid = (lo + hi) lsr 1 in
+    if Array.unsafe_get a mid < i then is_member a i (mid + 1) hi
+    else is_member a i lo (mid + 1)
+
 let check r by =
   let i = Id.to_int by in
   if i <> r.last_ok then begin
     let a = r.allowed in
-    let rec scan j hi =
-      j < hi
-      &&
-      let v = Array.unsafe_get a j in
-      v = i || (v < i && scan (j + 1) hi)
-    in
-    let rec mem lo hi =
-      if hi - lo <= 8 then scan lo hi
-      else
-        let mid = (lo + hi) lsr 1 in
-        if Array.unsafe_get a mid < i then mem (mid + 1) hi
-        else mem lo (mid + 1)
-    in
-    if not (mem 0 (Array.length a)) then
+    if not (is_member a i 0 (Array.length a)) then
       raise (Access_violation { reg = r.reg_name; by });
     r.last_ok <- i
   end

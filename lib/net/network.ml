@@ -84,6 +84,10 @@ type t = {
   rng : Rng.t;
   index : index;
   heap : Minheap.t;
+  (* The smallest due among the heap's keys, stale ones included, or
+     [no_wake]: a tick before it pops nothing.  Lowered by [arm], reset
+     at the end of [tick] — the only places the heap changes. *)
+  mutable wake : int;
   mailboxes : (Id.t * Message.payload) Queue.t array;
   (* Partition epochs: each [partition] call contributes one group-of
      array; a link is held iff some epoch separates its endpoints.  This
@@ -106,10 +110,13 @@ let validate_delay = function
   | Uniform (lo, hi) ->
     if lo < 1 || hi < lo then invalid_arg "Network: bad uniform delay bounds"
 
+(* Written so that NaN fails the test too. *)
+let valid_drop p = p >= 0.0 && p < 1.0
+
 let validate_kind = function
   | Reliable -> ()
   | Fair_lossy p ->
-    if p < 0.0 || p >= 1.0 then
+    if not (valid_drop p) then
       invalid_arg "Network.create: drop probability must be in [0, 1)"
 
 let fresh_link idx =
@@ -150,6 +157,7 @@ let create ~rng ~n ~kind ?(delay = Uniform (1, 4)) ?index () =
       | `Dense -> Dense (Array.init slots fresh_link)
       | `Sparse -> Sparse { tbl = Hashtbl.create 256; pool = [] });
     heap = Minheap.create ();
+    wake = no_wake;
     mailboxes = Array.init n (fun _ -> Queue.create ());
     parts = [];
     block_fn = None;
@@ -227,7 +235,8 @@ let arm t l ~due =
          due t.max_safe_due t.n);
   if due < l.l_wake then begin
     Minheap.push t.heap ((due * t.slots) + l.l_idx);
-    l.l_wake <- due
+    l.l_wake <- due;
+    if due < t.wake then t.wake <- due
   end
 
 let draw_delay t =
@@ -354,7 +363,12 @@ let tick t ~now =
         arm t l ~due:(now + 1)
       else deliver_due t ~now ~l ~di
     end
-  done
+  done;
+  t.wake <-
+    (if Minheap.is_empty t.heap then no_wake
+     else Minheap.min_key t.heap / slots)
+
+let next_wake t = t.wake
 
 let drain t p =
   let box = t.mailboxes.(Id.to_int p) in
@@ -394,7 +408,7 @@ let degrade t ~src ~dst ?(drop = 0.0) ?(extra_delay = 0) () =
   let si = Id.to_int src and di = Id.to_int dst in
   if si < 0 || si >= t.n || di < 0 || di >= t.n then
     invalid_arg "Network.degrade: id out of range";
-  if drop < 0.0 || drop >= 1.0 then
+  if not (valid_drop drop) then
     invalid_arg "Network.degrade: drop probability must be in [0, 1)";
   if extra_delay < 0 then invalid_arg "Network.degrade: negative extra delay";
   let l = get_link t ((si * t.n) + di) in

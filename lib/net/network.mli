@@ -79,6 +79,11 @@ val send : t -> now:int -> src:Mm_core.Id.t -> dst:Mm_core.Id.t -> Message.paylo
     arrived and whose link is not currently blocked. *)
 val tick : t -> now:int -> unit
 
+(** [next_wake t] is a step at or before the earliest pending delivery
+    (or [max_int] when nothing is in flight): [tick t ~now] with
+    [now < next_wake t] does nothing. *)
+val next_wake : t -> int
+
 (** [drain t p] empties and returns p's mailbox in delivery order as
     [(src, payload)] pairs. *)
 val drain : t -> Mm_core.Id.t -> (Mm_core.Id.t * Message.payload) list

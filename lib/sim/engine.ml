@@ -77,7 +77,14 @@ let max_blocked_backoff = 1024
      time so simultaneously-due events pop in ascending pid order — the
      order the old O(n) scans applied them in (replay contract).
    - Quiescent iff [view.count = 0 && ready_n = 0 && restarts_pending = 0]:
-     an O(1) test replacing the old whole-array [frozen_pending] scan. *)
+     an O(1) test replacing the old whole-array [frozen_pending] scan.
+   - Due-step gates, so a step pays for a subsystem only when it has
+     something due.  [fault_due] is at most the earliest due step in the
+     three heaps (lowered on every push, recomputed after a drain); the
+     network keeps its own ([Network.next_wake]).  A drain or tick
+     before its gate opens would find nothing due, so skipping it moves
+     no event.  [has_timely] mirrors [Sched.has_timely]: without timely
+     processes [note_step] is a no-op. *)
 type t = {
   n_procs : int;
   net : Network.t;
@@ -108,6 +115,8 @@ type t = {
   mutable done_n : int;
   mutable crashed_n : int;
   mutable restarts_pending : int;  (* Somes in [restart_step] *)
+  mutable fault_due : int;
+  mutable has_timely : bool;
 }
 
 let has_pending p =
@@ -194,13 +203,14 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
   (* Emulated-register quorum rounds are charged to the network stats. *)
   Mem.set_transport mem (fun ~sent ~delivered ->
       Network.account net ~sent ~delivered);
+  let sched = match sched with Some s -> s | None -> Sched.create Sched.Random in
   let t =
     {
       n_procs = n;
       net;
       mem;
       dom = domain;
-      sched = (match sched with Some s -> s | None -> Sched.create Sched.Random);
+      sched;
       sched_rng;
       seed_rng;
       procs;
@@ -227,6 +237,8 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
       done_n = 0;
       crashed_n = 0;
       restarts_pending = 0;
+      fault_due = max_int;
+      has_timely = Sched.has_timely sched;
     }
   in
   install_observer t;
@@ -426,10 +438,12 @@ let check_schedule ~api ~existing step =
 (* Heap keys pack [due * n + pid]; due is clamped to the present so that
    everything already due shares one due value and therefore pops in
    ascending pid order (see the invariant block above).  One push per
-   None→Some transition keeps heap entries 1:1 with live schedules. *)
-let push_due heap ~n ~now ~step pid =
-  let due = if step < now then now else step in
-  Minheap.push heap ((due * n) + pid)
+   None→Some transition keeps heap entries 1:1 with live schedules.
+   Every push also lowers the [fault_due] gate. *)
+let push_due t heap ~step pid =
+  let due = if step < t.step then t.step else step in
+  Minheap.push heap ((due * t.n_procs) + pid);
+  if due < t.fault_due then t.fault_due <- due
 
 let crash_at t pid step =
   let i = Id.to_int pid in
@@ -437,7 +451,7 @@ let crash_at t pid step =
   if t.procs.(i).p_status = Crashed then
     invalid_arg "Engine.crash_at: process already crashed";
   if t.crash_step.(i) = None then
-    push_due t.crash_heap ~n:t.n_procs ~now:t.step ~step i;
+    push_due t t.crash_heap ~step i;
   t.crash_step.(i) <- Some step
 
 let crash_now t pid = crash_at t pid t.step
@@ -457,7 +471,7 @@ let restart_at t pid step =
   | _, Some s when s <= step -> ()
   | _, _ -> invalid_arg "Engine.restart_at: no crash to recover from");
   if t.restart_step.(i) = None then begin
-    push_due t.restart_heap ~n:t.n_procs ~now:t.step ~step i;
+    push_due t t.restart_heap ~step i;
     t.restarts_pending <- t.restarts_pending + 1
   end;
   t.restart_step.(i) <- Some step
@@ -517,6 +531,7 @@ let apply_crash t i =
     t.crashed_n <- t.crashed_n + 1;
     p.pending <- No_pending;
     Sched.note_crash t.sched ~pid:i;
+    t.has_timely <- Sched.has_timely t.sched;
     Mem.note_crash t.mem p.pid;
     record t p.pid Trace.Crashed
   | Done | Crashed -> ());
@@ -576,14 +591,34 @@ let drain_retries t =
       rinsert t i
   done
 
+let heap_due h n = if Minheap.is_empty h then max_int else Minheap.min_key h / n
+
+(* The earliest due step left in the three heaps (stale entries
+   included, which only makes it early). *)
+let refresh_fault_due t =
+  let n = t.n_procs in
+  t.fault_due <-
+    min (heap_due t.crash_heap n)
+      (min (heap_due t.restart_heap n) (heap_due t.retry_heap n))
+
+let tick t =
+  if t.step >= Network.next_wake t.net then Network.tick t.net ~now:t.step
+
 let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
   let deadline = t.step + max_steps in
   let reason = ref None in
   while !reason = None do
-    drain_crashes t;
-    drain_restarts t;
+    (* [fire_actions] sits between the drains, so take the gate once. *)
+    let due = t.step >= t.fault_due in
+    if due then begin
+      drain_crashes t;
+      drain_restarts t
+    end;
     fire_actions t;
-    drain_retries t;
+    if due then begin
+      drain_retries t;
+      refresh_fault_due t
+    end;
     if until () then reason := Some Stopped
     else if t.step >= deadline then reason := Some Step_limit
     else if t.view.Sched.count = 0 then begin
@@ -592,7 +627,7 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
            due): let time pass so deliveries, staged thaws, retries and
            restarts still happen; bounded by the deadline above. *)
         t.step <- t.step + 1;
-        Network.tick t.net ~now:t.step
+        tick t
       end
       else reason := Some Quiescent
     end
@@ -628,10 +663,10 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
          longer parks it in the retry heap. *)
       if fin = Suspended && p.retry_at > t.step then begin
         rremove t chosen;
-        Minheap.push t.retry_heap ((p.retry_at * t.n_procs) + chosen)
+        push_due t t.retry_heap ~step:p.retry_at chosen
       end;
-      Sched.note_step t.sched ~pid:chosen ~n:t.n_procs;
-      Network.tick t.net ~now:t.step
+      if t.has_timely then Sched.note_step t.sched ~pid:chosen ~n:t.n_procs;
+      tick t
     end
   done;
   Option.get !reason

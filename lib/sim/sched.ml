@@ -59,6 +59,8 @@ let create ?(timely = []) base =
 let timely t =
   Array.to_list (Array.map (fun e -> (e.tp, e.ti)) t.timely_arr)
 
+let has_timely t = Array.length t.timely_arr > 0
+
 let note_step t ~pid ~n =
   let arr = t.timely_arr in
   for j = 0 to Array.length arr - 1 do

@@ -55,6 +55,10 @@ val timely : t -> (int * int) list
     function picks a non-runnable process. *)
 val pick : t -> Mm_rng.Rng.t -> view -> int
 
+(** Whether any process is still tracked as timely.  When false,
+    {!note_step} is a no-op. *)
+val has_timely : t -> bool
+
 (** [note_step t ~pid ~n] informs the timeliness tracker that [pid] just
     executed a step in a system of [n] processes. *)
 val note_step : t -> pid:int -> n:int -> unit

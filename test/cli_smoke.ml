@@ -40,6 +40,9 @@ let bad =
     ([], [ "check"; "paxos"; "--n"; "0" ]);
     ([], [ "check"; "kv"; "--n"; "0" ]);
     ([], [ "check"; "hbo"; "--expect-stall"; "-n"; "4" ]);
+    ([], [ "election"; "--variant"; "lossy"; "--drop"; "1.5" ]);
+    ([], [ "check"; "omega"; "--variant"; "lossy"; "--drop=-0.5"; "--budget"; "3" ]);
+    ([], [ "check"; "omega"; "--variant"; "lossy"; "--drop=nan"; "--budget"; "1" ]);
   ]
 
 let good =

@@ -13,6 +13,10 @@
        sweeps, each with the parameters its `mm check` command line
        builds (the command is printed above the report).
 
+   Usage: golden.exe [--jobs N].  [--jobs] (default 1) sets the sweep
+   parallelism of part (b) only; reports are jobs-invariant, so every
+   value must reproduce the same golden.expected.
+
    Regenerate only for a change that means to alter behaviour:
      dune build @runtest --auto-promote *)
 
@@ -128,14 +132,20 @@ let sweeps =
       Some 30, 1 );
   ]
 
-let reports () =
+let reports ~jobs =
   List.iter
     (fun (cmd, name, params, budget, master_seed) ->
       Printf.printf "== mm check %s\n" cmd;
-      let r = Runner.sweep (scenario name) ~master_seed ?budget ~params () in
+      let r = Runner.sweep (scenario name) ~master_seed ?budget ~jobs ~params () in
       Format.printf "%a%!" Runner.pp_report r)
     sweeps
 
 let () =
+  let jobs =
+    match Array.to_list Sys.argv with
+    | [ _ ] -> 1
+    | [ _; "--jobs"; j ] -> int_of_string j
+    | _ -> failwith "usage: golden.exe [--jobs N]"
+  in
   per_trial ();
-  reports ()
+  reports ~jobs

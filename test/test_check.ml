@@ -901,6 +901,88 @@ let test_domain_stats_account_for_trials () =
   Alcotest.(check int) "sequential violating: claimed = trials_run"
     vio_report.Runner.trials_run vio.(0).Runner.claimed
 
+(* --- A violating sweep executes its hit trial once --- *)
+
+(* Counts every execution of the wrapped scenario, and separately the
+   shrink candidates the runner asks about.  Atomic: a jobs > 1 sweep
+   executes from several domains. *)
+module Counting (Sc : Scenario.S) = struct
+  include Sc
+
+  let executes = Atomic.make 0
+  let candidates = Atomic.make 0
+
+  let execute ?arena cfg t =
+    Atomic.incr executes;
+    Sc.execute ?arena cfg t
+
+  let shrink cfg ~still_fails t =
+    let still_fails c =
+      Atomic.incr candidates;
+      still_fails c
+    in
+    Sc.shrink cfg ~still_fails t
+end
+
+let count_hit_executions name (module Sc : Scenario.S) ~params ~budget =
+  let module C = Counting (Sc) in
+  let run jobs =
+    Atomic.set C.executes 0;
+    Atomic.set C.candidates 0;
+    let report, stats =
+      Runner.sweep_stats (module C) ~master_seed:1 ~budget ~jobs ~params ()
+    in
+    let detected = Array.fold_left (fun a s -> a + s.Runner.executed) 0 stats in
+    Alcotest.(check int)
+      (Printf.sprintf "%s jobs=%d: executions = detection + shrink candidates"
+         name jobs)
+      (detected + Atomic.get C.candidates)
+      (Atomic.get C.executes);
+    report
+  in
+  let r1 = run 1 in
+  let cx =
+    match r1.Runner.violation with
+    | Some cx -> cx
+    | None -> Alcotest.failf "%s: expected a violation" name
+  in
+  Unix.putenv "MM_CHECK_MAX_DOMAINS" "2";
+  let r2 =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "MM_CHECK_MAX_DOMAINS" "8")
+      (fun () -> run 2)
+  in
+  check_same_report (name ^ " jobs=2") r1 r2;
+  (* Replay re-executes the trial from its seed, then the same
+     candidates, and reports the identical counterexample. *)
+  Atomic.set C.executes 0;
+  Atomic.set C.candidates 0;
+  let rp = Runner.replay (module C) ~params ~trial_seed:cx.Runner.trial_seed () in
+  Alcotest.(check int) (name ^ ": replay executes the trial + candidates")
+    (1 + Atomic.get C.candidates)
+    (Atomic.get C.executes);
+  match rp.Runner.violation with
+  | None -> Alcotest.failf "%s: replay lost the violation" name
+  | Some cx' ->
+    Alcotest.(check bool) (name ^ ": replay = reported counterexample") true
+      ({ cx' with Runner.trial = cx.Runner.trial } = cx)
+
+let test_hit_executed_once () =
+  count_hit_executions "paxos"
+    (module Mm_check.Scenario_paxos)
+    ~params:{ Scenario.default_params with max_crashes = Some 0; max_steps = Some 60 }
+    ~budget:20;
+  count_hit_executions "hbo"
+    (module Mm_check.Scenario_hbo)
+    ~params:
+      {
+        Scenario.default_params with
+        graph = Some (B.disjoint_cliques ~cliques:2 ~k:3);
+        family = "disjoint";
+        max_crashes = Some 3;
+      }
+    ~budget:100
+
 let test_minor_heap_restored_after_parallel_sweep () =
   (* Workers pre-size their minor heap (MM_CHECK_MINOR_HEAP override);
      worker 0 is the calling domain, so the sweep must restore the main
@@ -1418,6 +1500,8 @@ let () =
             test_dedup_merge_across_domains;
           Alcotest.test_case "domain stats account for trials" `Quick
             test_domain_stats_account_for_trials;
+          Alcotest.test_case "violating sweep executes its hit once" `Quick
+            test_hit_executed_once;
           Alcotest.test_case "minor heap restored" `Quick
             test_minor_heap_restored_after_parallel_sweep;
           Alcotest.test_case "sequential sweep leaves minor heap" `Quick

@@ -295,6 +295,31 @@ let test_backend_names () =
        false
      with Invalid_argument _ -> true)
 
+(* Two members alternating on one register miss the one-slot access
+   memo on every op (KV's ALIVE registers see exactly this), so every
+   read takes the membership search: it must allocate nothing, both
+   below and above the 8-member binary-search cutoff. *)
+let test_memo_miss_allocation () =
+  List.iter
+    (fun n ->
+      let store = Mem.create (Domain.full n) in
+      let r =
+        Mem.alloc store ~name:"x" ~owner:(id 0)
+          ~shared_with:(List.init (n - 1) (fun i -> id (i + 1)))
+          0
+      in
+      let a = id 1 and b = id (n - 1) in
+      ignore (Mem.read r ~by:a);
+      let before = Gc.minor_words () in
+      for k = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Mem.read r ~by:(if k land 1 = 0 then a else b)))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "10k memo-missing reads, %d members: minor words" n)
+        0.0 words)
+    [ 3; 16 ]
+
 let prop_last_write_wins =
   QCheck.Test.make ~name:"register holds last written value" ~count:100
     QCheck.(list (pair (int_range 0 1) int))
@@ -321,6 +346,8 @@ let () =
           Alcotest.test_case "peek" `Quick test_peek_no_accounting;
           Alcotest.test_case "counters arithmetic" `Quick test_counters_arith;
           Alcotest.test_case "memory failure" `Quick test_memory_failure;
+          Alcotest.test_case "memo-miss reads allocate nothing" `Quick
+            test_memo_miss_allocation;
           QCheck_alcotest.to_alcotest prop_last_write_wins;
         ] );
       ( "backend",

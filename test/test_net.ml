@@ -127,6 +127,9 @@ let test_create_validation () =
   Alcotest.(check bool) "negative drop prob" true
     (try ignore (mk ~kind:(Net.Fair_lossy (-0.1)) 2); false
      with Invalid_argument _ -> true);
+  Alcotest.(check bool) "NaN drop prob" true
+    (try ignore (mk ~kind:(Net.Fair_lossy Float.nan) 2); false
+     with Invalid_argument _ -> true);
   Alcotest.(check bool) "bad delay" true
     (try ignore (mk ~delay:(Net.Fixed 0) 2); false
      with Invalid_argument _ -> true);
@@ -161,6 +164,25 @@ let test_partition_holds_then_heals () =
   Alcotest.(check int) "in_flight drained" 0 s.Net.in_flight;
   Alcotest.(check int) "sent = delivered" s.Net.sent s.Net.delivered
 
+(* [next_wake] is the earliest pending due (max_int when idle), so a tick
+   before it is a no-op; a held link is re-polled every step. *)
+let test_next_wake () =
+  let net = mk ~delay:(Net.Fixed 3) 3 in
+  Alcotest.(check int) "idle" max_int (Net.next_wake net);
+  Net.send net ~now:10 ~src:(id 0) ~dst:(id 1) (Num 1);
+  Net.send net ~now:11 ~src:(id 0) ~dst:(id 2) (Num 2);
+  Alcotest.(check int) "earliest due" 13 (Net.next_wake net);
+  Net.tick net ~now:13;
+  Alcotest.(check int) "delivered" 1 (Net.peek_count net (id 1));
+  Alcotest.(check int) "next due" 14 (Net.next_wake net);
+  Net.partition net [ [ id 0 ]; [ id 2 ] ];
+  Net.tick net ~now:14;
+  Alcotest.(check int) "held, polled next step" 15 (Net.next_wake net);
+  Net.heal net;
+  Net.tick net ~now:15;
+  Alcotest.(check int) "released" 1 (Net.peek_count net (id 2));
+  Alcotest.(check int) "idle again" max_int (Net.next_wake net)
+
 let test_partition_validation () =
   let net = mk 3 in
   Alcotest.(check bool) "id out of range" true
@@ -190,6 +212,9 @@ let test_degrade_drop_and_restore () =
   Alcotest.(check int) "no drops after restore" 0 d.Net.dropped;
   Alcotest.(check bool) "bad degrade drop" true
     (try Net.degrade net ~src:(id 0) ~dst:(id 1) ~drop:1.0 (); false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "NaN degrade drop" true
+    (try Net.degrade net ~src:(id 0) ~dst:(id 1) ~drop:Float.nan (); false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative degrade delay" true
     (try Net.degrade net ~src:(id 0) ~dst:(id 1) ~extra_delay:(-1) (); false
@@ -298,6 +323,7 @@ let () =
           Alcotest.test_case "window diff" `Quick test_window_diff;
           Alcotest.test_case "delay bounds" `Quick test_delay_bounds;
           Alcotest.test_case "validation" `Quick test_create_validation;
+          Alcotest.test_case "next wake" `Quick test_next_wake;
           Alcotest.test_case "partition no-loss" `Quick
             test_partition_holds_then_heals;
           Alcotest.test_case "partition validation" `Quick

@@ -631,6 +631,88 @@ let test_emulated_backoff_olog () =
     (Printf.sprintf "O(log window) blocked attempts (got %d)" blocked)
     true (blocked <= 16)
 
+(* The run loop only ticks the network and drains the fault heaps once
+   something is due.  These pin the exact steps at which deferred events
+   land, as the engine has always produced them. *)
+
+let traced ?(seed = 3) ?delay ?(backend = Mem.Backend.Native) n =
+  Engine.create ~seed ?delay ~backend ~trace_capacity:4096
+    ~domain:(full_domain n) ~link:Network.Reliable ~n ()
+
+let steps_of_events eng keep =
+  List.filter_map
+    (fun (e : Trace.event) -> if keep e.Trace.op then Some e.Trace.step else None)
+    (Trace.to_list (Option.get (Engine.trace eng)))
+
+let spin () =
+  let rec go () =
+    Proc.yield ();
+    go ()
+  in
+  go ()
+
+(* The sender finishes with its send and the only other process is
+   frozen: the clock advances on idle ticks alone, and a Fixed 3 message
+   lands exactly 3 steps after it was sent. *)
+let test_idle_delivery_exact () =
+  let eng = traced ~delay:(Network.Fixed 3) 2 in
+  let p0 = Id.of_int 0 and p1 = Id.of_int 1 in
+  (* Step 0 starts the fiber; the yields take steps 1-5. *)
+  Engine.spawn eng p0 (fun () ->
+      for _ = 1 to 5 do
+        Proc.yield ()
+      done;
+      Proc.send p1 (Ping 1));
+  Engine.spawn eng p1 spin;
+  Engine.freeze eng p1;
+  let reason = Engine.run eng ~max_steps:20 () in
+  Alcotest.(check bool) "clock ran on" true (reason = Engine.Step_limit);
+  Alcotest.(check (list int)) "sent at" [ 6 ]
+    (steps_of_events eng (function Trace.Sent _ -> true | _ -> false));
+  Alcotest.(check (list int)) "delivered at send + 3" [ 9 ]
+    (steps_of_events eng (function Trace.Delivered _ -> true | _ -> false));
+  Alcotest.(check int) "in the mailbox" 1
+    (Network.peek_count (Engine.network eng) p1)
+
+(* A crash scheduled far beyond every other event still fires at its
+   step: the process takes exactly that many steps. *)
+let test_far_crash_exact () =
+  let eng = traced 2 in
+  let p0 = Id.of_int 0 in
+  Engine.spawn eng p0 spin;
+  Engine.crash_at eng p0 1_000;
+  let reason = Engine.run eng ~max_steps:5_000 () in
+  Alcotest.(check bool) "quiescent after the crash" true
+    (reason = Engine.Quiescent);
+  Alcotest.(check (list int)) "crashed at" [ 1_000 ]
+    (steps_of_events eng (function Trace.Crashed -> true | _ -> false));
+  Alcotest.(check int) "steps before it" 1_000 (Engine.steps_of eng p0)
+
+(* A blocked emulated op parks until its [retry_at] (backoff 1, 2, 4, ...)
+   and is re-admitted exactly then; once a restart brings the quorum back,
+   the next retry succeeds. *)
+let test_blocked_retry_exact () =
+  let eng = traced ~backend:Mem.Backend.Emulated 3 in
+  let p0 = Id.of_int 0 and p1 = Id.of_int 1 and p2 = Id.of_int 2 in
+  let r =
+    Mem.alloc (Engine.store eng) ~name:"r" ~owner:p0 ~shared_with:[ p1; p2 ] 5
+  in
+  Engine.spawn eng p0 (fun () -> ignore (Proc.read r : int));
+  Engine.spawn eng p1 ~recover:(fun () -> ()) spin;
+  Engine.spawn eng p2 spin;
+  Engine.crash_at eng p1 0;
+  Engine.crash_at eng p2 0;
+  Engine.restart_at eng p1 40;
+  let reason = Engine.run eng ~max_steps:1_000 () in
+  Alcotest.(check bool) "quiescent" true (reason = Engine.Quiescent);
+  (* Step 0 starts the fiber; its first read blocks at step 1. *)
+  Alcotest.(check (list int)) "blocked at" [ 1; 2; 4; 8; 16; 32 ]
+    (steps_of_events eng (function Trace.Blocked _ -> true | _ -> false));
+  Alcotest.(check (list int)) "restarted at" [ 40 ]
+    (steps_of_events eng (function Trace.Restarted -> true | _ -> false));
+  Alcotest.(check (list int)) "read at the next retry" [ 64 ]
+    (steps_of_events eng (function Trace.Read _ -> true | _ -> false))
+
 let prop_omega_elects_some_correct_leader =
   QCheck.Test.make ~name:"omega: elects a correct leader across seeds"
     ~count:12
@@ -689,5 +771,13 @@ let () =
             test_crash_api_validation;
           Alcotest.test_case "emulated backoff O(log w)" `Quick
             test_emulated_backoff_olog;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "idle delivery exact" `Quick
+            test_idle_delivery_exact;
+          Alcotest.test_case "far crash exact" `Quick test_far_crash_exact;
+          Alcotest.test_case "blocked retry exact" `Quick
+            test_blocked_retry_exact;
         ] );
     ]
