@@ -1,7 +1,7 @@
 (* mm — command-line front end for the m&m model library.
 
    Subcommands:
-     experiment   regenerate experiment tables (E1-E14, A1-A3)
+     experiment   regenerate experiment tables (E1-E15, A1-A3)
      consensus    run HBO / Ben-Or on a chosen graph with crashes
      paxos        run Ω-driven shared-memory Paxos
      election     run eventual leader election
@@ -76,31 +76,30 @@ let family_arg default =
   in
   Arg.(value & opt string default & info [ "g"; "graph" ] ~docv:"FAMILY" ~doc)
 
-(* Knobs that are counts (processes, steps, trials, domains, ticks)
-   must be strictly positive; reject them at parse time with a clear
-   message instead of letting a 0 or negative value surface later as an
-   Invalid_argument trace. *)
-let pos_int =
+(* A numeric knob that must pass [ok]: out-of-range values are rejected
+   at parse time with a clear message instead of surfacing later as an
+   Invalid_argument trace.  [ok] is a positive test, so NaN fails it. *)
+let number_where ~docv of_string pp ~what ok =
   let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some v when v > 0 -> Ok v
-    | Some v ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %d" v))
-    | None ->
-      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    match of_string (String.trim s) with
+    | Some x when ok x -> Ok x
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+  Arg.conv ~docv (parse, pp)
+
+let float_where = number_where ~docv:"X" float_of_string_opt Format.pp_print_float
+let int_where = number_where ~docv:"N" int_of_string_opt Format.pp_print_int
+
+(* Counts of processes, steps, domains and ticks must be positive. *)
+let pos_int = int_where ~what:"a positive integer" (fun v -> v > 0)
+
+(* Counts that may legitimately be zero (requests, commands, trials). *)
+let nat_int = int_where ~what:"a non-negative integer" (fun v -> v >= 0)
 
 (* A drop probability: finite, 0 <= p < 1 (what [Network] accepts).
    Written so that NaN is rejected too. *)
 let probability =
-  let parse s =
-    match float_of_string_opt (String.trim s) with
-    | Some p when p >= 0.0 && p < 1.0 -> Ok p
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "expected a probability in [0, 1), got %S" s))
-  in
-  Arg.conv ~docv:"P" (parse, Format.pp_print_float)
+  float_where ~what:"a probability in [0, 1)" (fun p -> p >= 0.0 && p < 1.0)
 
 let n_arg default =
   Arg.(value & opt pos_int default & info [ "n" ] ~docv:"N"
@@ -109,12 +108,18 @@ let n_arg default =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* A crash injection.  Negative pids and steps are rejected here; a pid
+   past the process count is rejected by [check_crashes] once [n] is
+   known. *)
 let crash_conv =
   let parse s =
     match List.map int_of_string_opt (String.split_on_char ':' s) with
-    | [ Some pid; Some step ] -> Ok (pid, step)
-    | [ Some pid ] -> Ok (pid, 0)
-    | _ -> Error (`Msg (Printf.sprintf "expected PID or PID:STEP, got %S" s))
+    | [ Some pid; Some step ] when pid >= 0 && step >= 0 -> Ok (pid, step)
+    | [ Some pid ] when pid >= 0 -> Ok (pid, 0)
+    | _ ->
+      Error
+        (`Msg
+          (Printf.sprintf "expected PID or PID:STEP (non-negative), got %S" s))
   in
   Arg.conv ~docv:"PID:STEP"
     (parse, fun ppf (pid, step) -> Format.fprintf ppf "%d:%d" pid step)
@@ -122,6 +127,12 @@ let crash_conv =
 let crashes_arg =
   let doc = "Crash injections as pid:step pairs, e.g. --crash 0:0 --crash 2:500." in
   Arg.(value & opt_all crash_conv [] & info [ "crash" ] ~docv:"PID:STEP" ~doc)
+
+let check_crashes ~n crashes =
+  match List.find_opt (fun (pid, _) -> pid >= n) crashes with
+  | Some (pid, _) ->
+    Error (Printf.sprintf "--crash pid %d out of range for %d processes" pid n)
+  | None -> Ok ()
 
 (* Omega's notification mechanism; the lossy variant's drop probability
    comes from --drop. *)
@@ -176,6 +187,7 @@ let experiment_cmd =
 
 let consensus_cmd =
   let run family n seed impl crashes =
+    let* () = check_crashes ~n crashes in
     let+ graph = make_graph family n seed in
     let inputs = Array.init n (fun i -> i mod 2) in
     let o = Hbo.run ~seed ~impl ~graph ~crashes ~inputs () in
@@ -229,6 +241,7 @@ let paxos_cmd =
              ~doc:"Leader oracle: heartbeat | static:<pid> | anarchy.")
   in
   let run oracle n seed crashes =
+    let+ () = check_crashes ~n crashes in
     let inputs = Array.init n (fun i -> i * 10) in
     let o = Paxos.run ~seed ~oracle ~n ~crashes ~inputs () in
     Format.printf "stopped: %a after %d steps, max ballot %d@."
@@ -252,17 +265,19 @@ let paxos_cmd =
   Cmd.v
     (Cmd.info "paxos"
        ~doc:"Run Ω-driven shared-memory Paxos (Disk-Paxos style).")
-    Term.(const run $ oracle_arg $ n_arg 5 $ seed_arg $ crashes_arg)
+    Term.(term_result' ~usage:true
+            (const run $ oracle_arg $ n_arg 5 $ seed_arg $ crashes_arg))
 
 (* --- smr --- *)
 
 let smr_cmd =
   let module Log = Mm_smr.Replicated_log in
   let cmds_arg =
-    Arg.(value & opt int 3 & info [ "commands" ] ~docv:"K"
+    Arg.(value & opt nat_int 3 & info [ "commands" ] ~docv:"K"
            ~doc:"Commands issued per process.")
   in
   let run n seed cmds crashes =
+    let+ () = check_crashes ~n crashes in
     let o =
       Log.run ~seed ~n ~commands_per_proc:cmds ~crashes ~max_steps:5_000_000 ()
     in
@@ -287,7 +302,8 @@ let smr_cmd =
   in
   Cmd.v
     (Cmd.info "smr" ~doc:"Run the replicated log (multi-decree consensus).")
-    Term.(const run $ n_arg 4 $ seed_arg $ cmds_arg $ crashes_arg)
+    Term.(term_result' ~usage:true
+            (const run $ n_arg 4 $ seed_arg $ cmds_arg $ crashes_arg))
 
 (* --- kv: the sharded service's latency harness --- *)
 
@@ -308,11 +324,15 @@ let kv_cmd =
            ~doc:"Open-loop client population size.")
   in
   let ops_arg =
-    Arg.(value & opt int 400 & info [ "ops" ] ~docv:"K"
+    Arg.(value & opt nat_int 400 & info [ "ops" ] ~docv:"K"
            ~doc:"Total requests injected.")
   in
   let theta_arg =
-    Arg.(value & opt float 0.9 & info [ "theta" ] ~docv:"T"
+    let skew =
+      float_where ~what:"a finite skew >= 0" (fun t ->
+          Float.is_finite t && t >= 0.0)
+    in
+    Arg.(value & opt skew 0.9 & info [ "theta" ] ~docv:"T"
            ~doc:"Zipf skew of the key popularity distribution (0 = uniform).")
   in
   let keys_arg =
@@ -320,11 +340,17 @@ let kv_cmd =
            ~doc:"Key-space size.")
   in
   let gap_arg =
-    Arg.(value & opt float 40.0 & info [ "gap" ] ~docv:"G"
+    let gap =
+      float_where ~what:"a finite gap > 0" (fun g -> Float.is_finite g && g > 0.0)
+    in
+    Arg.(value & opt gap 40.0 & info [ "gap" ] ~docv:"G"
            ~doc:"Mean inter-arrival gap in engine ticks (Poisson arrivals).")
   in
   let reads_arg =
-    Arg.(value & opt float 0.8 & info [ "reads" ] ~docv:"F"
+    let fraction =
+      float_where ~what:"a fraction in [0, 1]" (fun f -> f >= 0.0 && f <= 1.0)
+    in
+    Arg.(value & opt fraction 0.8 & info [ "reads" ] ~docv:"F"
            ~doc:"Fraction of requests that are gets.")
   in
   let max_steps_arg =
@@ -419,15 +445,18 @@ let election_cmd =
            ~doc:"Drop probability for the lossy variant.")
   in
   let run variant drop n seed crashes =
-    let variant = omega_variant ~drop variant in
-    let timely =
-      (* ensure at least one never-crashed process is timely *)
-      let crashed_pids = List.map fst crashes in
-      let candidate =
-        List.find (fun p -> not (List.mem p crashed_pids)) (List.init n Fun.id)
-      in
-      [ (0, 4); (candidate, 4) ]
+    let* () = check_crashes ~n crashes in
+    (* ensure at least one never-crashed process is timely *)
+    let crashed_pids = List.map fst crashes in
+    let+ candidate =
+      match
+        List.find_opt (fun p -> not (List.mem p crashed_pids)) (List.init n Fun.id)
+      with
+      | Some p -> Ok p
+      | None -> Error "every process crashed; leader election needs one correct"
     in
+    let variant = omega_variant ~drop variant in
+    let timely = [ (0, 4); (candidate, 4) ] in
     let o = Omega.run ~seed ~timely ~crashes ~variant ~n () in
     Format.printf "Ω holds: %b  agreed leader: %s  converged at step %d@."
       (Omega.holds o)
@@ -444,18 +473,22 @@ let election_cmd =
   in
   Cmd.v
     (Cmd.info "election" ~doc:"Run eventual leader election (Figures 3-5).")
-    Term.(const run $ variant_arg ~doc:"reliable | lossy." $ drop_arg $ n_arg 4
-          $ seed_arg $ crashes_arg)
+    Term.(term_result' ~usage:true
+            (const run $ variant_arg ~doc:"reliable | lossy." $ drop_arg
+             $ n_arg 4 $ seed_arg $ crashes_arg))
 
 (* --- mutex --- *)
 
 let mutex_cmd =
   let algo_arg =
-    Arg.(value & opt string "all" & info [ "algo" ] ~docv:"A"
+    let algos =
+      [ ("bakery", `Bakery); ("local", `Local); ("mm", `Mm); ("all", `All) ]
+    in
+    Arg.(value & opt (enum algos) `All & info [ "algo" ] ~docv:"A"
            ~doc:"bakery | local | mm | all.")
   in
   let entries_arg =
-    Arg.(value & opt int 5 & info [ "entries" ] ~docv:"K"
+    Arg.(value & opt nat_int 5 & info [ "entries" ] ~docv:"K"
            ~doc:"Critical-section entries per process.")
   in
   let print_mutex name (o : Mutex.outcome) =
@@ -468,12 +501,12 @@ let mutex_cmd =
       o.Mutex.messages_sent o.Mutex.steps
   in
   let run algo n seed entries =
-    (match String.lowercase_ascii algo with
-    | "bakery" -> print_mutex "bakery" (Mutex.run_bakery ~seed ~n ~entries ())
-    | "local" ->
+    (match algo with
+    | `Bakery -> print_mutex "bakery" (Mutex.run_bakery ~seed ~n ~entries ())
+    | `Local ->
       print_mutex "local-spin" (Mutex.run_local_spin ~seed ~n ~entries ())
-    | "mm" -> print_mutex "m&m" (Mutex.run_mm ~seed ~n ~entries ())
-    | "all" | _ ->
+    | `Mm -> print_mutex "m&m" (Mutex.run_mm ~seed ~n ~entries ())
+    | `All ->
       print_mutex "bakery" (Mutex.run_bakery ~seed ~n ~entries ());
       print_mutex "local-spin" (Mutex.run_local_spin ~seed ~n ~entries ());
       print_mutex "m&m" (Mutex.run_mm ~seed ~n ~entries ()))
@@ -515,12 +548,12 @@ let check_cmd =
          & info [] ~docv:"SCENARIO" ~doc)
   in
   let budget_arg =
-    Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"TRIALS"
+    Arg.(value & opt (some nat_int) None & info [ "budget" ] ~docv:"TRIALS"
            ~doc:"Randomized trials to run (default: the scenario's own, \
                  e.g. 200 for hbo, 50 for omega).")
   in
   let max_crashes_arg =
-    Arg.(value & opt (some int) None & info [ "crashes" ] ~docv:"F"
+    Arg.(value & opt (some nat_int) None & info [ "crashes" ] ~docv:"F"
            ~doc:"Crash budget per trial. Default: the Thm 4.3 bound of the \
                  graph for hbo (sweeps stay inside the tolerance envelope; \
                  raise it to hunt for stalls), n-2 for omega, n-1 for \
@@ -569,12 +602,12 @@ let check_cmd =
                  counterexample reports.")
   in
   let entries_arg =
-    Arg.(value & opt (some int) None & info [ "entries" ] ~docv:"K"
+    Arg.(value & opt (some nat_int) None & info [ "entries" ] ~docv:"K"
            ~doc:"Mutex: critical-section entries per process (default: \
                  drawn per trial).")
   in
   let commands_arg =
-    Arg.(value & opt (some int) None & info [ "commands" ] ~docv:"K"
+    Arg.(value & opt (some nat_int) None & info [ "commands" ] ~docv:"K"
            ~doc:"Smr: commands per process (default: drawn per trial).")
   in
   let nemesis_arg =

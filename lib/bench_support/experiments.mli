@@ -3,7 +3,7 @@
     for recorded results.
 
     Every experiment takes a [scale]: [`Quick] shrinks sizes and seed
-    counts for tests, [`Full] is what `bench/main.exe` runs. *)
+    counts for tests, [`Full] is what `mm experiment` runs. *)
 
 type scale =
   [ `Quick

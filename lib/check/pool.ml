@@ -48,9 +48,9 @@ type 'ctx stats = {
 }
 
 let find_first_stats ?(jobs = 1) ?chunk ~init ~budget f =
-  if jobs < 1 then invalid_arg "Pool.find_first: jobs must be >= 1";
+  if jobs < 1 then invalid_arg "Pool.find_first_stats: jobs must be >= 1";
   (match chunk with
-  | Some c when c < 1 -> invalid_arg "Pool.find_first: chunk must be >= 1"
+  | Some c when c < 1 -> invalid_arg "Pool.find_first_stats: chunk must be >= 1"
   | _ -> ());
   if budget <= 0 then
     { found = None; ctxs = [||]; claimed = [||]; evaluated = [||] }
@@ -153,9 +153,3 @@ let find_first_stats ?(jobs = 1) ?chunk ~init ~budget f =
       { found; ctxs; claimed; evaluated }
     end
   end
-
-let find_first_init ?jobs ?chunk ~init ~budget f =
-  (find_first_stats ?jobs ?chunk ~init:(fun _ -> init ()) ~budget f).found
-
-let find_first ?jobs ?chunk ~budget f =
-  find_first_init ?jobs ?chunk ~init:(fun () -> ()) ~budget (fun () i -> f i)

@@ -41,40 +41,27 @@ type 'ctx stats = {
   evaluated : int array;
 }
 
-(** [find_first ~jobs ~budget f] is the smallest [i] in [0, budget)
-    with [f i = true], or [None].  [f] must be safe to call from
-    multiple domains concurrently (in this codebase: any function of a
-    trial seed that builds its own engine).  [jobs] (default 1) is the
-    total number of domains used, including the calling one; it is
-    capped at [budget] and at the number of chunks.  [chunk] (default:
-    adaptive, roughly [budget / (jobs * 8)] capped at 64) is the number
-    of consecutive indices claimed per atomic operation.  If some call
-    to [f] raises, the first exception observed is re-raised on the
-    calling domain after all workers have drained.
+(** [find_first_stats ~init ~budget f] searches for the smallest [i]
+    in [0, budget) with [f ctx i = true] ([found], or [None]).  Every
+    worker domain (including the calling one) runs [init wid] once and
+    passes the result [ctx] to each of its [f] calls; [init] and [f]
+    must be safe to call from multiple domains concurrently (in this
+    codebase: any function of a trial seed that builds its own engine).
+    [jobs] (default 1) is the total number of domains used, including
+    the calling one; it is capped at [budget] and at the number of
+    chunks.  [chunk] (default: adaptive, roughly [budget / (jobs * 8)]
+    capped at 64) is the number of consecutive indices claimed per
+    atomic operation.  If some call to [f] raises, the first exception
+    observed is re-raised on the calling domain after all workers have
+    drained.
+
+    The per-worker contexts and claim/evaluation counts come back after
+    the join: this is how the sweep engine gets each domain's private
+    dedup table back for merging, and how [--report-domains] localizes
+    a scaling regression to a domain.  Reading them needs no
+    synchronization.
 
     @raise Invalid_argument if [jobs < 1] or [chunk < 1]. *)
-val find_first : ?jobs:int -> ?chunk:int -> budget:int -> (int -> bool) -> int option
-
-(** [find_first_init ~init ~budget f] is {!find_first} for predicates
-    that want per-worker state: every worker domain (including the
-    calling one) runs [init ()] once and passes the result to each of
-    its [f] calls.  [init] must be safe to call concurrently;
-    the context never crosses domains until the pool has joined. *)
-val find_first_init :
-  ?jobs:int ->
-  ?chunk:int ->
-  init:(unit -> 'ctx) ->
-  budget:int ->
-  ('ctx -> int -> bool) ->
-  int option
-
-(** [find_first_stats ~init ~budget f] is {!find_first_init} with the
-    per-worker contexts and claim/evaluation counts returned after the
-    join ([init] receives the worker index).  This is how the sweep
-    engine gets each domain's private dedup table back for merging, and
-    how [--report-domains] localizes a scaling regression to a domain.
-    The contexts are returned only after every worker has joined, so
-    reading them needs no synchronization. *)
 val find_first_stats :
   ?jobs:int ->
   ?chunk:int ->

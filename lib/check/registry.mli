@@ -1,6 +1,6 @@
 (** The scenario registry: the single source of truth for which
     checkers exist.  The CLI derives its [mm check] target enum from
-    {!all}, the bench harness derives one sweep kernel per entry, and
+    {!all}, the smoke aliases sweep one trial of every entry, and
     the determinism tests sweep every entry — adding a scenario here is
     all it takes to surface it everywhere.
 

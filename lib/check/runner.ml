@@ -112,7 +112,7 @@ let count_distinct fps trials_run =
    minor heap: the default (2^20 words = 8 MiB on 64-bit, 4x the 5.1
    default) holds a whole default chunk of small trials and several
    20k-step hbo trials (~240k words each at the ~12 words/step engine
-   floor — see the gc/minor-words-per-trial bench row) between
+   floor, from Gc.minor_words over a short abd sweep) between
    collections.  MM_CHECK_MINOR_HEAP overrides it; anything below the
    runtime's 64k-word floor falls back to the default. *)
 let minor_heap_words () =

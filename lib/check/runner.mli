@@ -98,7 +98,7 @@ val pp_domain_stats : Format.formatter -> domain_stat array -> unit
     tests use to exercise the parallel path on single-core hosts.
 
     [chunk] is the number of consecutive trial indices a worker claims
-    per atomic operation (see {!Pool.find_first}; default: adaptive).
+    per atomic operation (see {!Pool.find_first_stats}; default: adaptive).
     Like [jobs], it is report-invisible: lowest index wins regardless of
     how trials were batched.
 

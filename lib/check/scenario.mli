@@ -18,8 +18,8 @@
     The runner owns everything else — trial-seed derivation, the
     sweep loop, lowest-index-wins determinism, replay —
     exactly once, for every scenario.  {!Registry.all} is the single
-    source of truth for which scenarios exist; the CLI, the bench
-    kernels and the determinism tests all enumerate it. *)
+    source of truth for which scenarios exist; the CLI, the smoke
+    aliases and the determinism tests all enumerate it. *)
 
 (** Scenario-independent knobs, one record for all scenarios.  Every
     scenario reads the subset it understands from {!S.cfg_of_params}

@@ -121,8 +121,8 @@ val run :
   outcome
 
 (** Merged get+put histogram of completed requests with arrival in
-    [\[from, until)] — optionally one shard, one op kind.  The bench
-    kernels use this to window latency around a nemesis stage. *)
+    [\[from, until)] — optionally one shard, one op kind.  The tests
+    use this to window latency around a nemesis stage. *)
 val window_hist :
   outcome ->
   ?shard:int ->

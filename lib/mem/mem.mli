@@ -34,7 +34,7 @@ module Backend : sig
     | Emulated  (** ABD quorum emulation over the network *)
 
   (** All backends with their CLI names — the single source of truth
-      for [mm --backend], bench kernels and test matrices. *)
+      for [mm --backend], the smoke aliases and test matrices. *)
   val all : (string * t) list
 
   val name : t -> string

@@ -43,6 +43,26 @@ let bad =
     ([], [ "election"; "--variant"; "lossy"; "--drop"; "1.5" ]);
     ([], [ "check"; "omega"; "--variant"; "lossy"; "--drop=-0.5"; "--budget"; "3" ]);
     ([], [ "check"; "omega"; "--variant"; "lossy"; "--drop=nan"; "--budget"; "1" ]);
+    ([], [ "consensus"; "--crash"; "99:0" ]);
+    ([], [ "consensus"; "--crash=-1:0" ]);
+    ([], [ "consensus"; "--crash"; "0:-5" ]);
+    ([], [ "election"; "--crash"; "9:0" ]);
+    ([], [ "paxos"; "--crash"; "9:0" ]);
+    ([], [ "smr"; "--crash"; "9:0" ]);
+    ([], [ "election"; "-n"; "2"; "--crash"; "0"; "--crash"; "1" ]);
+    ([], [ "smr"; "--commands=-1" ]);
+    ([], [ "check"; "smr"; "--commands=-1"; "--budget"; "1" ]);
+    ([], [ "kv"; "--ops=-1" ]);
+    ([], [ "kv"; "--gap"; "0" ]);
+    ([], [ "kv"; "--gap=-1" ]);
+    ([], [ "kv"; "--gap"; "nan" ]);
+    ([], [ "kv"; "--reads"; "1.5" ]);
+    ([], [ "kv"; "--reads=-0.1" ]);
+    ([], [ "kv"; "--reads"; "nan" ]);
+    ([], [ "kv"; "--theta=-1" ]);
+    ([], [ "kv"; "--theta"; "nan" ]);
+    ([], [ "mutex"; "--algo"; "nope" ]);
+    ([], [ "check"; "hbo"; "--budget=-1" ]);
   ]
 
 let good =
@@ -52,6 +72,10 @@ let good =
     ([], [ "check"; "hbo"; "-g"; "hypercube"; "-n"; "8"; "--budget"; "1" ]);
     ([], [ "consensus"; "-g"; "complete"; "-n"; "4"; "--crash"; "1:0" ]);
     ([], [ "graph"; "-g"; "torus"; "-n"; "9" ]);
+    ([], [ "experiment"; "--quick"; "E1" ]);
+    ([], [ "election"; "-n"; "2"; "--crash"; "0" ]);
+    ([], [ "kv"; "--ops"; "0" ]);
+    ([], [ "mutex"; "--algo"; "mm"; "--entries"; "1" ]);
   ]
 
 let contains s sub =

@@ -86,7 +86,7 @@ let test_minority_crash_survives () =
 let test_majority_crash_blocks () =
   (* THE contrast with m&m: crash a majority of replicas and the
      emulated register blocks forever; a native register would still be
-     readable by any survivor (see test_mem / the E10 bench). *)
+     readable by any survivor (see test_mem / the E10 table). *)
   let scripts = [| [ `Pause 500; `Write 7 ]; [ `Pause 500; `Read ]; []; [] |] in
   let o =
     Abd.run ~seed:6 ~n:4 ~max_steps:100_000

@@ -208,6 +208,11 @@ let test_shrink_int () =
 
 (* --- Pool: deterministic parallel search --- *)
 
+(* The first hit alone, with no per-worker context. *)
+let find_first ?jobs ?chunk ~budget f =
+  (Mm_check.Pool.find_first_stats ?jobs ?chunk ~init:ignore ~budget (fun () i -> f i))
+    .Mm_check.Pool.found
+
 let test_pool_lowest_index_wins () =
   (* Many indices match; the pool must report the lowest, not the first
      to complete, at every jobs setting. *)
@@ -217,22 +222,22 @@ let test_pool_lowest_index_wins () =
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d" jobs)
         (Some 3)
-        (Mm_check.Pool.find_first ~jobs ~budget:100 f))
+        (find_first ~jobs ~budget:100 f))
     [ 1; 2; 4; 8 ]
 
 let test_pool_no_hit_and_edges () =
   Alcotest.(check (option int)) "no hit" None
-    (Mm_check.Pool.find_first ~jobs:4 ~budget:50 (fun _ -> false));
+    (find_first ~jobs:4 ~budget:50 (fun _ -> false));
   Alcotest.(check (option int)) "empty budget" None
-    (Mm_check.Pool.find_first ~jobs:4 ~budget:0 (fun _ -> true));
+    (find_first ~jobs:4 ~budget:0 (fun _ -> true));
   Alcotest.(check (option int)) "jobs > budget" (Some 0)
-    (Mm_check.Pool.find_first ~jobs:16 ~budget:2 (fun i -> i = 0))
+    (find_first ~jobs:16 ~budget:2 (fun i -> i = 0))
 
 let test_pool_propagates_exception () =
   Alcotest.(check bool) "worker exception reraised" true
     (try
        ignore
-         (Mm_check.Pool.find_first ~jobs:4 ~budget:40 (fun i ->
+         (find_first ~jobs:4 ~budget:40 (fun i ->
               if i = 17 then failwith "boom" else false));
        false
      with Failure m -> m = "boom")
@@ -246,13 +251,13 @@ let test_pool_validates_jobs_and_chunk () =
        with Invalid_argument _ -> true)
   in
   raises "jobs = 0" (fun () ->
-      Mm_check.Pool.find_first ~jobs:0 ~budget:4 (fun _ -> false));
+      find_first ~jobs:0 ~budget:4 (fun _ -> false));
   raises "jobs negative" (fun () ->
-      Mm_check.Pool.find_first ~jobs:(-3) ~budget:4 (fun _ -> false));
+      find_first ~jobs:(-3) ~budget:4 (fun _ -> false));
   raises "chunk = 0" (fun () ->
-      Mm_check.Pool.find_first ~jobs:2 ~chunk:0 ~budget:4 (fun _ -> false));
+      find_first ~jobs:2 ~chunk:0 ~budget:4 (fun _ -> false));
   raises "chunk = 0, sequential too" (fun () ->
-      Mm_check.Pool.find_first ~jobs:1 ~chunk:0 ~budget:4 (fun _ -> false));
+      find_first ~jobs:1 ~chunk:0 ~budget:4 (fun _ -> false));
   raises "sweep jobs = 0" (fun () ->
       match Registry.find "abd" with
       | Some sc ->
@@ -260,7 +265,7 @@ let test_pool_validates_jobs_and_chunk () =
       | None -> Alcotest.fail "abd not registered");
   (* jobs >= 1 with an empty budget is a no-hit, not an error *)
   Alcotest.(check (option int)) "budget 0" None
-    (Mm_check.Pool.find_first ~jobs:3 ~budget:0 (fun _ -> true))
+    (find_first ~jobs:3 ~budget:0 (fun _ -> true))
 
 let test_pool_chunked_claiming_deterministic () =
   (* Hits at 17 and 63: whatever the chunk size — finer or coarser than
@@ -272,7 +277,7 @@ let test_pool_chunked_claiming_deterministic () =
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d chunk=%d" jobs chunk)
         (Some 17)
-        (Mm_check.Pool.find_first ~jobs ~chunk ~budget:100 f))
+        (find_first ~jobs ~chunk ~budget:100 f))
     [ (2, 1); (2, 7); (4, 16); (8, 64); (3, 200) ]
 
 let test_pool_stats_accounting () =

@@ -216,8 +216,7 @@ let test_kv_local_read_speedup () =
 let test_kv_partition_spike () =
   (* One shard, leader cut off mid-run: p99 of arrivals inside the
      window must spike above the warm p99 and recover after the heal.
-     Same construction as the kv/latency-p99-partition bench kernel,
-     asserted rather than recorded. *)
+     A latency spike is asserted, not just recorded. *)
   (* Keep the put rate well under the shard's ballot throughput (reads
      are served locally, so only puts queue): a saturated shard's
      queueing tail would swamp the partition signal. *)
