@@ -11,7 +11,12 @@
        verdict (a failure's diagnosis is digested too);
    (b) the full [Runner.pp_report] of the repository's known-violation
        sweeps, each with the parameters its `mm check` command line
-       builds (the command is printed above the report).
+       builds (the command is printed above the report);
+   (c) one line per trial of part (a)'s matrix for every scenario's
+       [shrink], driven without executing anything: the oracle answers
+       from an MD5 of the candidate's rendered config, so the shrink
+       order, every candidate it proposes and the lines it returns are
+       pinned byte for byte.
 
    Usage: golden.exe [--jobs N].  [--jobs] (default 1) sets the sweep
    parallelism of part (b) only; reports are jobs-invariant, so every
@@ -140,6 +145,45 @@ let reports ~jobs =
       Format.printf "%a%!" Runner.pp_report r)
     sweeps
 
+(* ------------------------------------------------------------------ *)
+(* (c) Shrinker digests                                                *)
+
+let config_text config =
+  String.concat "\n"
+    (List.map (fun (k, v) -> k ^ "=" ^ v) (Mm_check.Config.to_lines config))
+
+(* A deterministic stand-in for re-execution: a candidate "still fails"
+   iff the MD5 of its rendered config is even. *)
+let shrink_line (module Sc : Scenario.S) params ~mode ~seed =
+  let cfg = Sc.cfg_of_params params in
+  let t = Sc.gen cfg (Rng.create seed) in
+  let calls = ref 0 in
+  let still_fails t' =
+    incr calls;
+    let d = Digest.string (config_text (Sc.config cfg t')) in
+    Char.code d.[15] land 1 = 0
+  in
+  let shrunk = Sc.shrink cfg ~still_fails t in
+  Printf.printf "%s %s %s seed=%d calls=%d md5=%s\n" Sc.name
+    (Backend.name params.Scenario.backend)
+    mode seed !calls (md5 (config_text shrunk))
+
+let shrinks () =
+  print_endline "== shrink digests";
+  List.iter
+    (fun sc ->
+      List.iter
+        (fun (_, backend) ->
+          List.iter
+            (fun (mode, nemesis, restarts) ->
+              let params = small_params backend ~nemesis ~restarts in
+              for seed = 0 to 2 do
+                shrink_line sc params ~mode ~seed
+              done)
+            modes)
+        Backend.all)
+    Registry.all
+
 let () =
   let jobs =
     match Array.to_list Sys.argv with
@@ -148,4 +192,5 @@ let () =
     | _ -> failwith "usage: golden.exe [--jobs N]"
   in
   per_trial ();
-  reports ~jobs
+  reports ~jobs;
+  shrinks ()
