@@ -354,7 +354,7 @@ let kv_cmd =
            ~doc:"Fraction of requests that are gets.")
   in
   let max_steps_arg =
-    Arg.(value & opt int 600_000 & info [ "max-steps" ] ~docv:"S"
+    Arg.(value & opt pos_int 600_000 & info [ "max-steps" ] ~docv:"S"
            ~doc:"Step budget.")
   in
   let no_local_reads_arg =
@@ -578,7 +578,7 @@ let check_cmd =
          & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
   let max_steps_arg =
-    Arg.(value & opt (some int) None & info [ "max-steps" ] ~docv:"S"
+    Arg.(value & opt (some pos_int) None & info [ "max-steps" ] ~docv:"S"
            ~doc:"Step budget per trial.")
   in
   let drop_arg =
@@ -597,7 +597,7 @@ let check_cmd =
                  by a violation) instead of sweeping.")
   in
   let trace_arg =
-    Arg.(value & opt int 30 & info [ "trace" ] ~docv:"K"
+    Arg.(value & opt nat_int 30 & info [ "trace" ] ~docv:"K"
            ~doc:"Trailing engine-trace events kept per trial for \
                  counterexample reports.")
   in

@@ -61,39 +61,6 @@ let default_params =
     restarts = false;
   }
 
-(* Default crash budget per backend.  Emulated registers only stay
-   wait-free below a minority of crashes (arXiv 1906.00298), so default
-   sweeps cap the crash draw there — an explicit --crashes override is
-   how one deliberately probes past the bound. *)
-let cap_crashes backend ~n ~native_default =
-  match backend with
-  | Mm_mem.Mem.Backend.Native -> native_default
-  | Mm_mem.Mem.Backend.Emulated -> min native_default (max 0 ((n - 1) / 2))
-
-(* Whether drawing a restart window is sound for this trial: while one
-   process is transiently down, the crash plan's victims plus that one
-   must still leave the live majority the emulated backend's quorum
-   needs — otherwise every register op inside the window would block
-   and the emulated-resilience monitor would (correctly) flag the
-   bound, turning a clean sweep red for a reason the restart machinery
-   did not cause.  Native registers have no quorum, so any crash set is
-   fine.  Restart windows never overlap (gen_restarts is sequential),
-   so "one extra down" is exact. *)
-let restarts_safe backend ~n ~ncrashes =
-  match backend with
-  | Mm_mem.Mem.Backend.Native -> true
-  | Mm_mem.Mem.Backend.Emulated -> 2 * (n - ncrashes - 1) > n
-
-let fmt_crashes = function
-  | [] -> "none"
-  | cs ->
-    String.concat " " (List.map (fun (p, s) -> Printf.sprintf "p%d@%d" p s) cs)
-
-let fmt_pids ps = String.concat "," (List.map (Printf.sprintf "p%d") ps)
-
-let sched_desc k =
-  if k = 0 then "random-walk" else Printf.sprintf "pct(k=%d)" k
-
 module type S = sig
   val name : string
   val doc : string

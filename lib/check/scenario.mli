@@ -5,7 +5,9 @@
 
     - {!S.gen} draws a complete trial description — inputs, fault plan,
       scheduler choice, engine seed — from one RNG in a {e fixed order},
-      so a trial is a pure function of its trial seed;
+      so a trial is a pure function of its trial seed (the part every
+      scenario shares is drawn, run, reported and shrunk by
+      {!Fault_plan});
     - {!S.execute} runs the drawn trial and returns the outcome;
     - {!S.monitors} names the properties asserted on that trial (the
       set may depend on the draw: liveness is only monitored on fair
@@ -33,9 +35,10 @@ type params = {
   n : int;  (** number of processes (scenarios without a graph) *)
   backend : Mm_mem.Mem.Backend.t;
       (** how the store realises registers (native m&m vs ABD-emulated);
-          every scenario threads it into the engine, salts its config
-          fingerprint with it, and — under [Emulated] — runs the
-          resilience-bound monitors *)
+          every scenario threads it into the engine and the runner salts
+          the config fingerprint with it.  Under [Emulated], every
+          scenario that allocates registers (all but abd) runs the
+          resilience-bound monitor ({!Fault_plan.resilience}) *)
   impl : Mm_consensus.Hbo.impl;  (** hbo consensus-object implementation *)
   variant : Mm_election.Omega.variant;  (** omega notification mechanism *)
   drop : float;  (** max drop probability for omega's lossy variant *)
@@ -71,34 +74,6 @@ type params = {
 (** [n = 6], complete graph family, trusted impl, reliable variant,
     [drop = 0.3], 30 trailing trace events, everything else default. *)
 val default_params : params
-
-(** [cap_crashes backend ~n ~native_default] is the default crash
-    budget for a scenario: [native_default] under [Native], capped to a
-    minority ([(n-1)/2]) under [Emulated] so default sweeps stay inside
-    the emulation's wait-freedom bound.  Explicit [--crashes] overrides
-    bypass this — that is how a sweep deliberately probes past the
-    bound. *)
-val cap_crashes :
-  Mm_mem.Mem.Backend.t -> n:int -> native_default:int -> int
-
-(** [restarts_safe backend ~n ~ncrashes] gates a trial's restart draw:
-    under [Emulated], one transiently-down process on top of [ncrashes]
-    crash-stops must still leave a live majority, or every register op
-    inside the window would block at the emulation's resilience bound —
-    a red sweep the restart machinery did not cause.  Always true under
-    [Native]. *)
-val restarts_safe : Mm_mem.Mem.Backend.t -> n:int -> ncrashes:int -> bool
-
-(** {2 Shared formatting helpers} *)
-
-(** ["none"], or space-joined ["p<pid>@<step>"] pairs. *)
-val fmt_crashes : (int * int) list -> string
-
-(** Comma-joined ["p<pid>"] list. *)
-val fmt_pids : int list -> string
-
-(** ["random-walk"] for [k = 0], ["pct(k=<k>)"] otherwise. *)
-val sched_desc : int -> string
 
 (** {2 The scenario interface} *)
 

@@ -6,20 +6,12 @@ let name = "abd"
 let doc = "ABD atomic register: completion, atomicity, linearizability"
 let default_budget = 200
 
-type cfg = {
-  n : int;
-  backend : Mm_mem.Mem.Backend.t;
-  max_ops : int;
-  max_steps : int;
-  trace_tail : int;
-  nemesis : bool;
-}
+type cfg = { plan : Fault_plan.spec; max_ops : int; trace_tail : int }
 
 type trial = {
   scripts : [ `Write of int | `Read | `Pause of int ] list array;
   delay : Network.delay;
-  engine_seed : int;
-  nemesis : Nemesis.t;
+  plan : Fault_plan.t;
 }
 
 type outcome = Abd.outcome
@@ -38,18 +30,28 @@ let delay_desc = function
   | Network.Fixed d -> Printf.sprintf "fixed %d" d
   | Network.Uniform (lo, hi) -> Printf.sprintf "uniform %d-%d" lo hi
 
+(* No crashes: a crashed writer's pending write may legitimately be
+   adopted by readers.  Scripts are short, so the fault horizon is too;
+   drops would stall quorum phases forever.  ABD processes carry no
+   recovery closures: no restart windows. *)
 let cfg_of_params (p : Scenario.params) =
   (* The Wing-Gong checker is bitmask-indexed (<= 62 events); cap the
      per-process script length so the whole history always fits. *)
   let max_ops = Option.value p.Scenario.max_ops ~default:4 in
   let max_ops = max 1 (min max_ops (62 / max 1 p.Scenario.n)) in
+  let max_steps = Option.value p.Scenario.max_steps ~default:200_000 in
   {
-    n = p.Scenario.n;
-    backend = p.Scenario.backend;
+    plan =
+      {
+        (Fault_plan.spec p ~n:p.Scenario.n ~crashes:Fault_plan.No_crashes
+           ~max_steps) with
+        pct_cap = None;
+        horizon = 4_000;
+        stages = 2;
+        restarts = false;
+      };
     max_ops;
-    max_steps = Option.value p.Scenario.max_steps ~default:200_000;
     trace_tail = p.Scenario.trace_tail;
-    nemesis = p.Scenario.nemesis;
   }
 
 let preamble _ = None
@@ -57,7 +59,7 @@ let preamble _ = None
 let gen (cfg : cfg) rng =
   let next_val = ref 0 in
   let scripts =
-    Array.init cfg.n (fun _ ->
+    Array.init cfg.plan.n (fun _ ->
         let len = Rng.int rng (cfg.max_ops + 1) in
         List.init len (fun _ ->
             match Rng.int rng 5 with
@@ -73,26 +75,16 @@ let gen (cfg : cfg) rng =
     | 1 -> Network.Fixed (1 + Rng.int rng 3)
     | _ -> Network.Uniform (1, 2 + Rng.int rng 5)
   in
-  let engine_seed = Rng.int rng 0x3FFF_FFFF in
-  (* Drawn last, gated on a sweep-wide constant: older trial seeds
-     replay unchanged.  Scripts are short, so the fault horizon is too;
-     drops would stall quorum phases forever. *)
-  let nemesis =
-    if cfg.nemesis then
-      Nemesis.gen rng ~n:cfg.n ~avoid:[] ~horizon:4_000 ~max_stages:2
-        ~allow_drop:false
-    else []
-  in
-  { scripts; delay; engine_seed; nemesis }
+  { scripts; delay; plan = Fault_plan.draw cfg.plan rng }
 
 let execute ?arena:_ (cfg : cfg) t =
-  let prepare =
-    if t.nemesis = [] then None else Some (Nemesis.install t.nemesis)
-  in
-  Abd.run ~seed:t.engine_seed ~max_steps:cfg.max_steps
-    ~trace_capacity:cfg.trace_tail ?prepare ~backend:cfg.backend ~delay:t.delay ~n:cfg.n
-    ~scripts:t.scripts ()
+  Abd.run ~seed:t.plan.engine_seed ~max_steps:cfg.plan.max_steps
+    ~trace_capacity:cfg.trace_tail ?prepare:(Fault_plan.prepare t.plan)
+    ~backend:cfg.plan.backend ~delay:t.delay ~n:cfg.plan.n ~scripts:t.scripts
+    ()
 
+(* ABD allocates no registers, so no backend ever blocks it: there is no
+   resilience monitor here. *)
 let monitors _cfg _t =
   [
     ("abd-complete", Monitor.abd_complete);
@@ -100,10 +92,10 @@ let monitors _cfg _t =
     ("abd-linearizable", Monitor.abd_linearizable);
   ]
 
+(* The nemesis line leads. *)
 let config (cfg : cfg) t =
-  (if cfg.nemesis then [ Config.str "nemesis" (Nemesis.describe t.nemesis) ]
-   else [])
-  @ Config.str "backend" (Mm_mem.Mem.Backend.name cfg.backend)
+  Fault_plan.config cfg.plan t.plan
+  @ Config.str "backend" (Mm_mem.Mem.Backend.name cfg.plan.backend)
   :: Config.str "delay" (delay_desc t.delay)
   :: List.mapi
        (fun i ops -> Config.str (Printf.sprintf "p%d" i) (fmt_script ops))
@@ -113,13 +105,8 @@ let config (cfg : cfg) t =
    operations rewrites the history wholesale; the trial is already
    small (max_ops per process), so only the fault timeline shrinks. *)
 let shrink (cfg : cfg) ~still_fails t =
-  if (not cfg.nemesis) || t.nemesis = [] then []
-  else
-    let nemesis' =
-      Nemesis.shrink
-        ~still_fails:(fun tl -> still_fails { t with nemesis = tl })
-        t.nemesis
-    in
-    [ Config.str "nemesis" (Nemesis.describe nemesis') ]
+  Fault_plan.shrink cfg.plan
+    ~still_fails:(fun plan -> still_fails { t with plan })
+    t.plan
 
 let trace (o : outcome) = o.Abd.trace

@@ -36,24 +36,14 @@ type cfg = {
   graph : Graph.t;
   family : string;
   impl : Hbo.impl;
-  backend : Mm_mem.Mem.Backend.t;
-  max_crashes : int;
-  crash_window : int;
-  max_steps : int;
+  plan : Fault_plan.spec;
   trace_tail : int;
-  nemesis : bool;
-  (* Theorem 4.4 scenario: (S side, T side, crash plan for B). *)
-  stall : (int list * int list * (int * int) list) option;
+  (* Theorem 4.4 scenario: the S and T sides of the permanent partition
+     (the crash plan for B is the plan's fixed crash set). *)
+  stall : (int list * int list) option;
 }
 
-type trial = {
-  inputs : int array;
-  crashes : (int * int) list;
-  k : int;  (* 0 = random walk, else PCT priority levels *)
-  pct_seed : int;
-  engine_seed : int;
-  nemesis : Nemesis.t;
-}
+type trial = { inputs : int array; plan : Fault_plan.t }
 
 type outcome = Hbo.outcome
 
@@ -77,36 +67,46 @@ let cfg_of_params (p : Scenario.params) =
   let graph =
     match p.Scenario.graph with Some g -> g | None -> B.complete p.Scenario.n
   in
-  let max_crashes =
-    match p.Scenario.max_crashes with
-    | Some m -> m
-    | None ->
-      Scenario.cap_crashes p.Scenario.backend ~n:(Graph.order graph)
-        ~native_default:(budgeted_crash_cap graph (default_max_crashes graph))
-  in
+  let n = Graph.order graph in
   let stall =
     if p.Scenario.expect_stall then Some (stall_scenario graph) else None
+  in
+  let crashes =
+    match stall with
+    | Some (_, _, b) -> Fault_plan.Fixed b
+    | None ->
+      Fault_plan.drawn p ~n
+        ~native_default:
+          (lazy (budgeted_crash_cap graph (default_max_crashes graph)))
+        ~default_window:200
+  in
+  (* An HBO round is O(n²) engine steps (n processes each awaiting n
+     neighborhood replies), so the old flat 60k default — ample at
+     n <= 70, where 12n² stays below it — would misreport big
+     instances as termination failures.  Scale quadratically past
+     that point. *)
+  let max_steps =
+    Option.value p.Scenario.max_steps ~default:(max 60_000 (12 * n * n))
   in
   {
     graph;
     family = p.Scenario.family;
     impl = p.Scenario.impl;
-    backend = p.Scenario.backend;
-    max_crashes;
-    crash_window = Option.value p.Scenario.crash_window ~default:200;
-    (* An HBO round is O(n²) engine steps (n processes each awaiting n
-       neighborhood replies), so the old flat 60k default — ample at
-       n <= 70, where 12n² stays below it — would misreport big
-       instances as termination failures.  Scale quadratically past
-       that point. *)
-    max_steps =
-      (let n = Graph.order graph in
-       Option.value p.Scenario.max_steps ~default:(max 60_000 (12 * n * n)));
+    (* All nemesis faults clear in the first eighth of the budget,
+       leaving Thm 4.3 termination intact; the Thm 4.4 stall scenario
+       is a fixed permanent partition, which a healing timeline would
+       contradict, so nemesis is off there.  HBO processes carry no
+       recovery closures: no restart windows. *)
+    plan =
+      {
+        (Fault_plan.spec p ~n ~crashes ~max_steps) with
+        pct_cap = Some 10_000;
+        nemesis = p.Scenario.nemesis && stall = None;
+        horizon = max_steps / 8;
+        restarts = false;
+      };
     trace_tail = p.Scenario.trace_tail;
-    (* The Thm 4.4 stall scenario is a fixed permanent partition; a
-       healing timeline would contradict it, so nemesis is off there. *)
-    nemesis = p.Scenario.nemesis && not p.Scenario.expect_stall;
-    stall;
+    stall = Option.map (fun (s, t, _) -> (s, t)) stall;
   }
 
 let preamble (cfg : cfg) =
@@ -117,134 +117,56 @@ let preamble (cfg : cfg) =
 
 (* Draw order is the replay contract; never reorder. *)
 let gen (cfg : cfg) rng =
-  let n = Graph.order cfg.graph in
-  let inputs = Array.init n (fun _ -> Rng.int rng 2) in
-  let crashes =
-    match cfg.stall with
-    | Some (_, _, b) -> b
-    | None ->
-      Explore.gen_crashes rng ~n ~avoid:[] ~max_crashes:cfg.max_crashes
-        ~max_step:cfg.crash_window
-  in
-  let k = if Rng.bool rng then 0 else 1 + Rng.int rng 4 in
-  let pct_seed = Rng.int rng 0x3FFF_FFFF in
-  let engine_seed = Rng.int rng 0x3FFF_FFFF in
-  (* Nemesis draws come last, gated on a sweep-wide constant, so older
-     trial seeds replay unchanged.  All faults clear in the first eighth
-     of the budget, leaving Thm 4.3 termination intact. *)
-  let nemesis =
-    if cfg.nemesis then
-      Nemesis.gen rng ~n ~avoid:(List.map fst crashes)
-        ~horizon:(cfg.max_steps / 8) ~max_stages:3 ~allow_drop:false
-    else []
-  in
-  { inputs; crashes; k; pct_seed; engine_seed; nemesis }
+  let inputs = Array.init cfg.plan.n (fun _ -> Rng.int rng 2) in
+  { inputs; plan = Fault_plan.draw cfg.plan rng }
 
-(* PCT schedules are heavily skewed, so the slowest process may need the
-   whole budget just to take a handful of steps; liveness is not
-   monitored there, so cap the wasted wall-clock per PCT trial. *)
-let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 10_000
+let execute ?arena:_ (cfg : cfg) (t : trial) =
+  let max_steps, sched = Fault_plan.sched cfg.plan t.plan in
+  Hbo.run ~seed:t.plan.engine_seed ~impl:cfg.impl ~max_steps
+    ~trace_capacity:cfg.trace_tail ~crashes:t.plan.crashes
+    ?partition:cfg.stall ?prepare:(Fault_plan.prepare t.plan)
+    ~backend:cfg.plan.backend ~sched ~graph:cfg.graph ~inputs:t.inputs ()
 
-let execute ?arena:_ (cfg : cfg) t =
-  let n = Graph.order cfg.graph in
-  let max_steps = steps cfg ~k:t.k in
-  let sched =
-    if t.k = 0 then Explore.random_walk ()
-    else Explore.pct ~seed:t.pct_seed ~n ~k:t.k ~depth:max_steps
-  in
-  let partition = Option.map (fun (s, t', _) -> (s, t')) cfg.stall in
-  let prepare =
-    if t.nemesis = [] then None else Some (Nemesis.install t.nemesis)
-  in
-  Hbo.run ~seed:t.engine_seed ~impl:cfg.impl ~max_steps
-    ~trace_capacity:cfg.trace_tail ~crashes:t.crashes ?partition ?prepare
-    ~backend:cfg.backend ~sched ~graph:cfg.graph ~inputs:t.inputs ()
+(* Termination only on the fair walk: PCT schedules are too skewed to
+   give every process enough steps inside the budget. *)
+let monitors (cfg : cfg) (t : trial) =
+  Fault_plan.resilience cfg.plan
+    ~blocked:(fun (o : outcome) -> o.Hbo.mem_blocked)
+    ~crashed:(fun (o : outcome) -> o.Hbo.crashed)
+  @ ("agreement", Monitor.hbo_agreement)
+  :: ("validity", Monitor.hbo_validity ~inputs:t.inputs)
+  ::
+  (match cfg.stall with
+  | Some _ -> [ ("sm-cut-stall", Monitor.hbo_stalls) ]
+  | None when t.plan.k = 0 ->
+    [ ("termination", Monitor.hbo_termination ~graph:cfg.graph) ]
+  | None -> [])
 
-(* The resilience-bound monitor leads under the emulated backend so a
-   majority-crash trial is diagnosed against the emulation's bound, not
-   as a generic termination failure. *)
-let emulated_monitors (cfg : cfg) =
-  match cfg.backend with
-  | Mm_mem.Mem.Backend.Native -> []
-  | Mm_mem.Mem.Backend.Emulated ->
-    [
-      ( "emulated-resilience",
-        Monitor.emulated_resilience ~order:(Graph.order cfg.graph)
-          ~blocked:(fun (o : outcome) -> o.Hbo.mem_blocked)
-          ~crashed:(fun (o : outcome) -> o.Hbo.crashed) );
-    ]
+let fmt_pids ps = String.concat "," (List.map (Printf.sprintf "p%d") ps)
 
-let monitors (cfg : cfg) t =
-  emulated_monitors cfg
-  @
-  match cfg.stall with
-  | Some _ ->
-    [
-      ("agreement", Monitor.hbo_agreement);
-      ("validity", Monitor.hbo_validity ~inputs:t.inputs);
-      ("sm-cut-stall", Monitor.hbo_stalls);
-    ]
-  | None ->
-    ("agreement", Monitor.hbo_agreement)
-    :: ("validity", Monitor.hbo_validity ~inputs:t.inputs)
-    ::
-    (if t.k = 0 then
-       [ ("termination", Monitor.hbo_termination ~graph:cfg.graph) ]
-     else [])
-
-let config (cfg : cfg) t =
-  [
-    Config.str "inputs"
-      (String.concat " " (Array.to_list (Array.map string_of_int t.inputs)));
-    Config.str "crashes" (Scenario.fmt_crashes t.crashes);
-    Config.str "scheduler" (Scenario.sched_desc t.k);
-    Config.str "impl" (impl_desc cfg.impl);
-    Config.str "backend" (Mm_mem.Mem.Backend.name cfg.backend);
-  ]
-  @ (if cfg.nemesis then
-       [ Config.str "nemesis" (Nemesis.describe t.nemesis) ]
-     else [])
+let config (cfg : cfg) (t : trial) =
+  Config.str "inputs"
+    (String.concat " " (Array.to_list (Array.map string_of_int t.inputs)))
+  :: Fault_plan.config cfg.plan t.plan
+       ~between:
+         [
+           Config.str "impl" (impl_desc cfg.impl);
+           Config.str "backend" (Mm_mem.Mem.Backend.name cfg.plan.backend);
+         ]
   @
   match cfg.stall with
   | None -> []
-  | Some (s, t', _) ->
+  | Some (s, t') ->
     [
       Config.str "partition"
-        (Printf.sprintf "S={%s} T={%s}" (Scenario.fmt_pids s)
-           (Scenario.fmt_pids t'));
+        (Printf.sprintf "S={%s} T={%s}" (fmt_pids s) (fmt_pids t'));
     ]
 
-let shrink (cfg : cfg) ~still_fails t =
-  match cfg.stall with
-  | Some _ -> [] (* the Thm 4.4 scenario is fixed by construction *)
-  | None ->
-    let crashes' =
-      Shrink.list_min
-        ~still_fails:(fun cs -> still_fails { t with crashes = cs })
-        t.crashes
-    in
-    let k' =
-      if t.k <= 1 then t.k
-      else
-        Shrink.int_min
-          ~still_fails:(fun v ->
-            still_fails { t with crashes = crashes'; k = v })
-          ~lo:1 t.k
-    in
-    let nemesis' =
-      if t.nemesis = [] then t.nemesis
-      else
-        Nemesis.shrink
-          ~still_fails:(fun tl ->
-            still_fails { t with crashes = crashes'; k = k'; nemesis = tl })
-          t.nemesis
-    in
-    [
-      Config.str "crashes" (Scenario.fmt_crashes crashes');
-      Config.str "scheduler" (Scenario.sched_desc k');
-    ]
-    @
-    (if cfg.nemesis then [ Config.str "nemesis" (Nemesis.describe nemesis') ]
-     else [])
+(* The Thm 4.4 scenario is fixed by construction: its plan is not
+   shrunk. *)
+let shrink (cfg : cfg) ~still_fails (t : trial) =
+  Fault_plan.shrink cfg.plan
+    ~still_fails:(fun plan -> still_fails { t with plan })
+    t.plan
 
 let trace (o : outcome) = o.Hbo.trace

@@ -14,9 +14,12 @@
     S-T traffic forever, and monitors that consensus does {e not}
     terminate — a trial fails when every correct process decides.
 
-    Shrinking minimizes the crash set, then the PCT budget k, re-running
-    the trial seed with overridden faults each time and keeping a
-    reduction only if the {e same} property still fails. *)
+    Shrinking ({!Fault_plan.shrink}) minimizes the crash set, then the
+    PCT budget k, then the nemesis timeline when one was drawn
+    ([--nemesis]; HBO draws no restart windows), re-running the trial
+    seed with overridden faults each time and keeping a reduction only
+    if the {e same} property still fails.  The Thm 4.4 scenario is fixed
+    by construction and not shrunk. *)
 
 include Scenario.S
 

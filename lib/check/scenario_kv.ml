@@ -8,18 +8,13 @@ let default_budget = 40
 
 type cfg = {
   replicas : int; (* per shard *)
-  backend : Mm_mem.Mem.Backend.t;
   shards : int option; (* None: drawn per trial *)
   clients : int option;
   ops : int option;
   local_reads : bool;
-  max_crashes : int;
-  crash_window : int;
-  max_steps : int;
+  plan : Fault_plan.spec; (* over one shard's replicas; see [plan] *)
   settle : int;
   trace_tail : int;
-  nemesis : bool;
-  restarts : bool;
 }
 
 type trial = {
@@ -32,36 +27,32 @@ type trial = {
   key_space : int;
   wl_seed : int;
   workload : W.t;
-  crashes : (int * int) list;
-  k : int;
-  pct_seed : int;
-  engine_seed : int;
-  nemesis : Nemesis.t;
-  restarts : Nemesis.t;
+  plan : Fault_plan.t;
 }
 
 type outcome = Kv.outcome
 
+(* No drops — forwards are retransmitted, but the recovery monitor
+   budgets for delays, not losses. *)
 let cfg_of_params (p : Scenario.params) =
+  let replicas = p.Scenario.n in
   let max_steps = Option.value p.Scenario.max_steps ~default:400_000 in
   {
-    replicas = p.Scenario.n;
-    backend = p.Scenario.backend;
+    replicas;
     shards = p.Scenario.shards;
     clients = p.Scenario.clients;
     ops = p.Scenario.max_ops;
     local_reads = p.Scenario.local_reads;
-    max_crashes =
-      (* The total host count is shards x replicas, drawn per trial;
-         capping at a replica-count minority is therefore conservative
-         for every drawn shard count. *)
-      (match p.Scenario.max_crashes with
-      | Some m -> m
-      | None ->
-        Scenario.cap_crashes p.Scenario.backend ~n:p.Scenario.n
-          ~native_default:(max 0 (p.Scenario.n - 1)));
-    crash_window = Option.value p.Scenario.crash_window ~default:2_000;
-    max_steps;
+    (* The total host count is shards x replicas, drawn per trial;
+       capping the crash budget at a replica-count minority is
+       therefore conservative for every drawn shard count. *)
+    plan =
+      Fault_plan.spec p ~n:replicas
+        ~crashes:
+          (Fault_plan.drawn p ~n:replicas
+             ~native_default:(lazy (max 0 (replicas - 1)))
+             ~default_window:2_000)
+        ~max_steps;
     settle =
       (match p.Scenario.settle with
       | Some s when s <= 0 ->
@@ -69,9 +60,13 @@ let cfg_of_params (p : Scenario.params) =
       | Some s -> s
       | None -> max_steps / 2);
     trace_tail = p.Scenario.trace_tail;
-    nemesis = p.Scenario.nemesis;
-    restarts = p.Scenario.restarts;
   }
+
+(* The trial's fault plan ranges over every host, but its restart gate
+   stays on one replica group ([quorum = replicas]) — as if every drawn
+   crash landed in the window's own shard, which is conservative for
+   every actual crash placement. *)
+let plan (cfg : cfg) ~shards = { cfg.plan with n = shards * cfg.replicas }
 
 let preamble _ = None
 
@@ -112,39 +107,7 @@ let gen (cfg : cfg) rng =
   let read_pct = [| 25; 50; 90 |].(Rng.int rng 3) in
   let key_space = 2 + Rng.int rng 14 in
   let wl_seed = Rng.int rng 0x3FFF_FFFF in
-  let n = shards * cfg.replicas in
-  let crashes =
-    Explore.gen_crashes rng ~n ~avoid:[] ~max_crashes:cfg.max_crashes
-      ~max_step:cfg.crash_window
-  in
-  let k = if Rng.bool rng then 0 else 1 + Rng.int rng 4 in
-  let pct_seed = Rng.int rng 0x3FFF_FFFF in
-  let engine_seed = Rng.int rng 0x3FFF_FFFF in
-  (* Drawn last, gated on a sweep-wide constant: older trial seeds
-     replay unchanged.  No drops — forwards are retransmitted, but the
-     recovery monitor budgets for delays, not losses. *)
-  let nemesis =
-    if cfg.nemesis then
-      Nemesis.gen rng ~n ~avoid:(List.map fst crashes)
-        ~horizon:(min (cfg.max_steps / 4) 20_000) ~max_stages:3
-        ~allow_drop:false
-    else []
-  in
-  (* Restart windows are the newest gate, drawn after even the nemesis
-     draws (same replay contract).  Crash victims stay dead.  The
-     emulated-safety gate is evaluated per replica group — as if every
-     drawn crash landed in the window's own shard — which is
-     conservative for every actual crash placement. *)
-  let restarts =
-    if
-      cfg.restarts
-      && Scenario.restarts_safe cfg.backend ~n:cfg.replicas
-           ~ncrashes:(List.length crashes)
-    then
-      Nemesis.gen_restarts rng ~n ~avoid:(List.map fst crashes)
-        ~horizon:(min (cfg.max_steps / 4) 20_000) ~max_windows:2
-    else []
-  in
+  let plan = Fault_plan.draw (plan cfg ~shards) rng in
   let workload =
     W.gen (Rng.create wl_seed)
       {
@@ -167,61 +130,44 @@ let gen (cfg : cfg) rng =
     key_space;
     wl_seed;
     workload;
-    crashes;
-    k;
-    pct_seed;
-    engine_seed;
-    nemesis;
-    restarts;
+    plan;
   }
 
-let steps cfg ~k = if k = 0 then cfg.max_steps else min cfg.max_steps 20_000
-
 let execute ?arena:_ (cfg : cfg) t =
-  let max_steps = steps cfg ~k:t.k in
-  let n = t.shards * cfg.replicas in
-  let sched =
-    if t.k = 0 then Explore.random_walk ()
-    else Explore.pct ~seed:t.pct_seed ~n ~k:t.k ~depth:max_steps
+  let max_steps, sched =
+    Fault_plan.sched (plan cfg ~shards:t.shards) t.plan
   in
-  let faults = t.nemesis @ t.restarts in
-  let prepare = if faults = [] then None else Some (Nemesis.install faults) in
-  Kv.run ~seed:t.engine_seed ~max_steps ~trace_capacity:cfg.trace_tail
-    ~crashes:t.crashes ?prepare ~backend:cfg.backend ~sched
-    ~local_reads:cfg.local_reads ~shards:t.shards ~replicas:cfg.replicas
-    ~workload:t.workload ()
+  Kv.run ~seed:t.plan.engine_seed ~max_steps ~trace_capacity:cfg.trace_tail
+    ~crashes:t.plan.crashes ?prepare:(Fault_plan.prepare t.plan)
+    ~backend:cfg.plan.backend ~sched ~local_reads:cfg.local_reads
+    ~shards:t.shards ~replicas:cfg.replicas ~workload:t.workload ()
 
 (* Safety (per-shard slot consistency + per-key linearizability) holds
    on every trial; completion needs a fair schedule and no faults, and
    post-heal recovery a fair schedule and no crashes. *)
 let monitors (cfg : cfg) t =
-  (match cfg.backend with
-  | Mm_mem.Mem.Backend.Native -> []
-  | Mm_mem.Mem.Backend.Emulated ->
-    [
-      ( "emulated-resilience",
-        Monitor.emulated_resilience ~order:(t.shards * cfg.replicas)
-          ~blocked:(fun (o : outcome) -> o.Kv.mem_blocked)
-          ~crashed:(fun (o : outcome) -> o.Kv.crashed) );
-    ])
+  let { Fault_plan.k; crashes; nemesis; restarts; _ } = t.plan in
+  Fault_plan.resilience (plan cfg ~shards:t.shards)
+    ~blocked:(fun (o : outcome) -> o.Kv.mem_blocked)
+    ~crashed:(fun (o : outcome) -> o.Kv.crashed)
   @ ("kv-log-consistent", Monitor.kv_log_consistent)
   :: ("kv-linearizable", Monitor.kv_linearizable)
   :: ((* Durability needs the quiescent stop (every live replica caught
          up to its shard's applied high-water mark), which only a fair
          schedule reaches reliably; a crash-stopped replica's host log
          survives, so crashes don't weaken the check. *)
-      (if t.restarts <> [] && t.k = 0 then
+      (if restarts <> [] && k = 0 then
          [ ("kv-durable", Monitor.kv_durable) ]
        else [])
      @
-     if t.k = 0 && t.crashes = [] && t.nemesis = [] && t.restarts = [] then
+     if k = 0 && crashes = [] && nemesis = [] && restarts = [] then
        [ ("kv-complete", Monitor.kv_complete) ]
-     else if t.k = 0 && t.crashes = [] then
+     else if k = 0 && crashes = [] then
        let heal_by =
-         max (Nemesis.heal_step t.nemesis) (Nemesis.heal_step t.restarts)
+         max (Nemesis.heal_step nemesis) (Nemesis.heal_step restarts)
        in
        let m = Monitor.kv_recovers ~heal_by ~settle:cfg.settle in
-       if t.restarts = [] then [ ("kv-recovers", m) ]
+       if restarts = [] then [ ("kv-recovers", m) ]
        else
          (* Same predicate, stronger reading: requests orphaned by a
             restarted ingress/leader are re-claimed on recovery and must
@@ -240,16 +186,13 @@ let config (cfg : cfg) t =
     Config.int "mean-gap" t.mean_gap;
     Config.int "read-pct" t.read_pct;
     Config.bool "local-reads" cfg.local_reads;
-    Config.str "crashes" (Scenario.fmt_crashes t.crashes);
-    Config.str "scheduler" (Scenario.sched_desc t.k);
-    Config.str "backend" (Mm_mem.Mem.Backend.name cfg.backend);
   ]
-  @ (if cfg.nemesis then [ Config.str "nemesis" (Nemesis.describe t.nemesis) ]
-     else [])
-  @
-  if cfg.restarts then [ Config.str "restarts" (Nemesis.describe t.restarts) ]
-  else []
+  @ Fault_plan.config (plan cfg ~shards:t.shards) t.plan
+      ~between:
+        [ Config.str "backend" (Mm_mem.Mem.Backend.name cfg.plan.backend) ]
 
+(* The op count shrinks first (fewer ops are a prefix of the same
+   workload), then the fault plan. *)
 let shrink (cfg : cfg) ~still_fails t =
   let with_ops t ops =
     let t = { t with ops } in
@@ -262,50 +205,9 @@ let shrink (cfg : cfg) ~still_fails t =
         t.ops
   in
   let t = with_ops t ops' in
-  let crashes' =
-    Shrink.list_min
-      ~still_fails:(fun cs -> still_fails { t with crashes = cs })
-      t.crashes
-  in
-  let k' =
-    if t.k <= 1 then t.k
-    else
-      Shrink.int_min
-        ~still_fails:(fun v -> still_fails { t with crashes = crashes'; k = v })
-        ~lo:1 t.k
-  in
-  let nemesis' =
-    if t.nemesis = [] then t.nemesis
-    else
-      Nemesis.shrink
-        ~still_fails:(fun tl ->
-          still_fails { t with crashes = crashes'; k = k'; nemesis = tl })
-        t.nemesis
-  in
-  let restarts' =
-    if t.restarts = [] then t.restarts
-    else
-      Nemesis.shrink
-        ~still_fails:(fun tl ->
-          still_fails
-            {
-              t with
-              crashes = crashes';
-              k = k';
-              nemesis = nemesis';
-              restarts = tl;
-            })
-        t.restarts
-  in
-  [
-    Config.int "ops" ops';
-    Config.str "crashes" (Scenario.fmt_crashes crashes');
-    Config.str "scheduler" (Scenario.sched_desc k');
-  ]
-  @ (if cfg.nemesis then [ Config.str "nemesis" (Nemesis.describe nemesis') ]
-     else [])
-  @
-  (if cfg.restarts then [ Config.str "restarts" (Nemesis.describe restarts') ]
-   else [])
+  Config.int "ops" ops'
+  :: Fault_plan.shrink (plan cfg ~shards:t.shards)
+       ~still_fails:(fun plan -> still_fails { t with plan })
+       t.plan
 
 let trace (o : outcome) = o.Kv.trace

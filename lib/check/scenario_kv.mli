@@ -5,6 +5,7 @@
     on every trial, completion on fair fault-free trials, and post-heal
     recovery on fair crash-free nemesis trials.  Shrinking minimizes the
     op count first (fewer ops are a prefix of the same workload), then
-    the crash set, the PCT budget k, and the nemesis timeline. *)
+    the fault plan ({!Fault_plan.shrink}): the crash set, the PCT budget
+    k, the nemesis timeline and the restart windows. *)
 
 include Scenario.S

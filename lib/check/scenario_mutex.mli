@@ -5,6 +5,7 @@
     on m&m trials (waiters sleep on their mailbox: zero unprompted
     register re-reads while blocked), and progress — every process
     completes all its entries — on fair trials.  Shrinking minimizes
-    the entry count, then the PCT budget k. *)
+    the entry count, then the PCT budget k and the nemesis timeline
+    ({!Fault_plan.shrink}). *)
 
 include Scenario.S

@@ -7,6 +7,8 @@
     window opened) plus steady-state silence.  Silence is only asserted
     on crash-free trials: a crashed process can leave a notification
     eternally unacknowledged, which the lossy mechanism legitimately
-    retransmits forever.  Shrinking minimizes the crash set. *)
+    retransmits forever.  Shrinking ({!Fault_plan.shrink}) minimizes the
+    crash set, then the nemesis timeline and the restart windows when
+    drawn. *)
 
 include Scenario.S

@@ -4,7 +4,8 @@
     up to n-1 crashes and a scheduler.  Agreement and validity are
     asserted on every trial — ballots must interlock no matter how many
     processes believe they lead; termination only on fair, crash-free
-    trials with a stabilizing oracle.  Shrinking minimizes the crash
-    set, then the PCT budget k. *)
+    trials with a stabilizing oracle.  Shrinking ({!Fault_plan.shrink})
+    minimizes the crash set, then the PCT budget k, then the nemesis
+    timeline and the restart windows when drawn. *)
 
 include Scenario.S

@@ -3,7 +3,8 @@
     then monitors slot consistency (no slot decided two ways) and prefix
     agreement (contiguous logs, no divergent commits) on every trial,
     and full commitment — every correct process applies every correct
-    command — on fair, crash-free trials.  Shrinking minimizes the
-    crash set, then the PCT budget k. *)
+    command — on fair, crash-free trials.  Shrinking ({!Fault_plan.shrink})
+    minimizes the crash set, then the PCT budget k, then the nemesis
+    timeline and the restart windows when drawn. *)
 
 include Scenario.S

@@ -63,6 +63,19 @@ let bad =
     ([], [ "kv"; "--theta"; "nan" ]);
     ([], [ "mutex"; "--algo"; "nope" ]);
     ([], [ "check"; "hbo"; "--budget=-1" ]);
+    ([], [ "check"; "paxos"; "--max-steps"; "0" ]);
+    ([], [ "check"; "paxos"; "--max-steps=-5" ]);
+    ([], [ "check"; "smr"; "--max-steps"; "0" ]);
+    ([], [ "check"; "smr"; "--max-steps=-5" ]);
+    ([], [ "check"; "mutex"; "--max-steps"; "0" ]);
+    ([], [ "check"; "mutex"; "--max-steps=-5" ]);
+    ([], [ "check"; "kv"; "--max-steps"; "0" ]);
+    ([], [ "check"; "kv"; "--max-steps=-5" ]);
+    ([], [ "check"; "hbo"; "--max-steps"; "0" ]);
+    ([], [ "check"; "abd"; "--max-steps"; "0" ]);
+    ([], [ "kv"; "--max-steps"; "0" ]);
+    ([], [ "kv"; "--max-steps=-3" ]);
+    ([], [ "check"; "hbo"; "--trace=-1" ]);
   ]
 
 let good =
@@ -76,6 +89,7 @@ let good =
     ([], [ "election"; "-n"; "2"; "--crash"; "0" ]);
     ([], [ "kv"; "--ops"; "0" ]);
     ([], [ "mutex"; "--algo"; "mm"; "--entries"; "1" ]);
+    ([], [ "check"; "smr"; "--trace"; "0" ]);
   ]
 
 let contains s sub =

@@ -618,7 +618,7 @@ let emulated_params =
   { smoke_params with Scenario.backend = Mm_mem.Mem.Backend.Emulated }
 
 let test_cap_crashes () =
-  let cap = Scenario.cap_crashes in
+  let cap = Mm_check.Fault_plan.cap_crashes in
   Alcotest.(check int) "native uncapped" 3
     (cap Mm_mem.Mem.Backend.Native ~n:4 ~native_default:3);
   Alcotest.(check int) "emulated n=4 capped to 1" 1
@@ -1243,13 +1243,13 @@ let test_restart_validate_rejects_overlap () =
 let test_restarts_safe_bound () =
   let module B = Mm_mem.Mem.Backend in
   Alcotest.(check bool) "native always safe" true
-    (Scenario.restarts_safe B.Native ~n:2 ~ncrashes:5);
+    (Mm_check.Fault_plan.restarts_safe B.Native ~n:2 ~ncrashes:5);
   List.iter
     (fun (n, ncrashes, expect) ->
       Alcotest.(check bool)
         (Printf.sprintf "emulated n=%d crashes=%d" n ncrashes)
         expect
-        (Scenario.restarts_safe B.Emulated ~n ~ncrashes))
+        (Mm_check.Fault_plan.restarts_safe B.Emulated ~n ~ncrashes))
     [ (3, 0, true); (4, 0, true); (4, 1, false); (5, 1, true); (3, 1, false) ]
 
 let restart_params = { smoke_params with Scenario.restarts = true }
