@@ -383,6 +383,30 @@ let test_run_resumes () =
   Alcotest.(check bool) "progressed" true (!count > after_first);
   Alcotest.(check int) "global step" 20 (Engine.now eng)
 
+(* The engine's steady-state step loop: two processes that only yield,
+   trace off.  What a step may allocate is the fiber's continuation, the
+   effect handler's closure and the pending-effect record; pin that
+   budget so a boxed draw or a per-step list cannot creep back in. *)
+let test_step_allocation () =
+  let eng = make 2 in
+  List.iter
+    (fun i ->
+      Engine.spawn eng (Id.of_int i) (fun () ->
+          let rec go () =
+            Proc.yield ();
+            go ()
+          in
+          go ()))
+    [ 0; 1 ];
+  ignore (Engine.run eng ~max_steps:100 ());
+  let steps = 10_000 in
+  let before = Gc.minor_words () in
+  ignore (Engine.run eng ~max_steps:steps ());
+  let per_step = (Gc.minor_words () -. before) /. float_of_int steps in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per step (<= 12)" per_step)
+    true (per_step <= 12.0)
+
 let test_until_already_true () =
   let eng = make 1 in
   Engine.spawn eng (Id.of_int 0) (fun () -> Proc.yield ());
@@ -754,6 +778,7 @@ let () =
         [
           Alcotest.test_case "double spawn" `Quick test_double_spawn_rejected;
           Alcotest.test_case "run resumes" `Quick test_run_resumes;
+          Alcotest.test_case "step allocation" `Quick test_step_allocation;
           Alcotest.test_case "until already true" `Quick test_until_already_true;
           Alcotest.test_case "crash done process" `Quick
             test_crash_done_process_harmless;
