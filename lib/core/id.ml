@@ -4,10 +4,10 @@ let of_int i =
   if i < 0 then invalid_arg "Id.of_int: negative id";
   i
 
-let to_int i = i
+external to_int : t -> int = "%identity"
 let all n = List.init n of_int
-let compare = Int.compare
-let equal = Int.equal
+external compare : t -> t -> int = "%compare"
+external equal : t -> t -> bool = "%equal"
 let pp fmt i = Format.fprintf fmt "p%d" i
 
 module Set = Set.Make (Int)

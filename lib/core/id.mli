@@ -10,14 +10,22 @@ type t = private int
     Raises [Invalid_argument] on negatives. *)
 val of_int : int -> t
 
+(* [to_int], [compare] and [equal] are compiler primitives, not [val]s.
+   dune's default (dev) profile compiles every library with [-opaque],
+   which hides each [.ml]'s code from the modules that use it: a [val]
+   would cost a real cross-module call at every use, on the engine's
+   per-step paths too.  A primitive declared here travels in the [.cmi],
+   so it survives [-opaque]: [to_int] compiles to nothing and [equal] /
+   [compare] to a single integer comparison. *)
+
 (** [to_int id] unwraps. *)
-val to_int : t -> int
+external to_int : t -> int = "%identity"
 
 (** [all n] is [0; ...; n-1]. *)
 val all : int -> t list
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
+external compare : t -> t -> int = "%compare"
+external equal : t -> t -> bool = "%equal"
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

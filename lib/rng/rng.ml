@@ -1,80 +1,42 @@
 (* splitmix64 (Steele, Lea, Flood 2014).  A fixed odd increment ("gamma")
    walks the state; the output mix is a 64-bit finalizer.
 
-   The 64-bit state is held as two 32-bit limbs in immediate ints rather
-   than an [int64]: on non-flambda builds every [Int64] intermediate is
-   boxed, and the simulator draws on every scheduler step, so the limb
-   form keeps the whole draw path allocation-free.  Outputs are
-   bit-identical to the boxed [Int64] formulation. *)
+   The 64-bit state lives in an 8-byte [Bytes.t] rather than a mutable
+   [int64] field: such a field holds a boxed [Int64], so every draw would
+   allocate a fresh box to store the new state.  [Bytes.get_int64_ne] and
+   [set_int64_ne] compile to one load and one store, and ocamlopt keeps
+   [Int64] temporaries that never escape a function unboxed, so a draw is
+   a few native 64-bit instructions and the integer draws allocate
+   nothing.  The simulator draws on every scheduler step and every send. *)
 
 type t = {
-  mutable s_hi : int;  (* state, bits 32..63 *)
-  mutable s_lo : int;  (* state, bits 0..31 *)
-  mutable o_hi : int;  (* latest mixed output, bits 32..63 *)
-  mutable o_lo : int;  (* latest mixed output, bits 0..31 *)
+  st : Bytes.t;  (* the 64-bit state, native-endian *)
   mutable fp : int;  (* FNV-1a digest of the draw stream; -1 when disabled *)
 }
 
-let mask32 = 0xFFFFFFFF
-let mask16 = 0xFFFF
-
-(* gamma = 0x9E3779B97F4A7C15 *)
-let gamma_hi = 0x9E3779B9
-let gamma_lo = 0x7F4A7C15
-
-(* finalizer multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB *)
-let m1_hi = 0xBF58476D
-let m1_lo = 0x1CE4E5B9
-let m2_hi = 0x94D049BB
-let m2_lo = 0x133111EB
-
-(* Low 32 bits of a*b for a, b in [0, 2^32).  The 16-bit split keeps every
-   partial product under 2^48, clear of the 63-bit overflow line. *)
-let mul32_low a b =
-  (((a land mask16) * b) + ((((a lsr 16) * (b land mask16)) land mask16) lsl 16))
-  land mask32
-
-(* High 32 bits of a*b for a, b in [0, 2^32). *)
-let mul32_high a b =
-  let a0 = a land mask16 and a1 = a lsr 16 in
-  let b0 = b land mask16 and b1 = b lsr 16 in
-  let t0 = a0 * b0 in
-  let t1 = (a1 * b0) + (t0 lsr 16) in
-  let t2 = (a0 * b1) + (t1 land mask16) in
-  (a1 * b1) + (t1 lsr 16) + (t2 lsr 16)
-
+let gamma = 0x9E3779B97F4A7C15L
 let fnv_prime = 0x100000001B3
 
-(* mix64 of (zh, zl), stored into [t.o_hi]/[t.o_lo]. *)
-let mix_into t zh0 zl0 =
-  (* z ^= z >>> 30 *)
-  let zh = zh0 lxor (zh0 lsr 30) in
-  let zl = zl0 lxor ((zl0 lsr 30) lor ((zh0 lsl 2) land mask32)) in
-  (* z *= m1 (low 64 bits) *)
-  let ph =
-    (mul32_high zl m1_lo + mul32_low zh m1_lo + mul32_low zl m1_hi) land mask32
+let[@inline] mix64 z =
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
   in
-  let pl = mul32_low zl m1_lo in
-  (* z ^= z >>> 27 *)
-  let zh = ph lxor (ph lsr 27) in
-  let zl = pl lxor ((pl lsr 27) lor ((ph lsl 5) land mask32)) in
-  (* z *= m2 (low 64 bits) *)
-  let qh =
-    (mul32_high zl m2_lo + mul32_low zh m2_lo + mul32_low zl m2_hi) land mask32
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
   in
-  let ql = mul32_low zl m2_lo in
-  (* z ^= z >>> 31 *)
-  t.o_hi <- qh lxor (qh lsr 31);
-  t.o_lo <- ql lxor ((ql lsr 31) lor ((qh lsl 1) land mask32))
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* One generator step: state += gamma, output = mix64 state. *)
-let advance t =
-  let sl = t.s_lo + gamma_lo in
-  let s_lo = sl land mask32 in
-  let s_hi = (t.s_hi + gamma_hi + (sl lsr 32)) land mask32 in
-  t.s_lo <- s_lo;
-  t.s_hi <- s_hi;
-  mix_into t s_hi s_lo
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t.st 0) gamma in
+  Bytes.set_int64_ne t.st 0 s;
+  mix64 s
+
+(* A fresh generator in state [s], fingerprinting off. *)
+let[@inline] of_state s =
+  let st = Bytes.create 8 in
+  Bytes.set_int64_ne st 0 s;
+  { st; fp = -1 }
 
 (* Fold one consumed value into the stream digest.  The digest covers
    what the client actually drew — the bounded results — not the raw
@@ -85,73 +47,58 @@ let advance t =
 let fold_fp t v =
   if t.fp >= 0 then t.fp <- ((t.fp lxor (v land max_int)) * fnv_prime) land max_int
 
-let create seed =
-  let t = { s_hi = 0; s_lo = 0; o_hi = 0; o_lo = 0; fp = -1 } in
-  mix_into t ((seed asr 32) land mask32) (seed land mask32);
-  t.s_hi <- t.o_hi;
-  t.s_lo <- t.o_lo;
-  t.o_hi <- 0;
-  t.o_lo <- 0;
-  t
+(* A raw output enters the digest as its low then its high 32 bits. *)
+let[@inline] fold_fp64 t x =
+  fold_fp t (Int64.to_int x land 0xFFFFFFFF);
+  fold_fp t (Int64.to_int (Int64.shift_right_logical x 32))
 
-let copy t =
-  { s_hi = t.s_hi; s_lo = t.s_lo; o_hi = t.o_hi; o_lo = t.o_lo; fp = t.fp }
+let create seed = of_state (mix64 (Int64.of_int seed))
+let copy t = { st = Bytes.copy t.st; fp = t.fp }
 
 (* The state after [k] steps is the state plus k·gamma (mod 2^64), so a
-   jump costs one limb multiply however far it goes. *)
+   jump costs one multiply however far it goes. *)
 let jump t k =
-  if k < 0 || k > mask32 then invalid_arg "Rng.jump: need 0 <= k < 2^32";
-  let lo = t.s_lo + mul32_low k gamma_lo in
-  let hi = t.s_hi + mul32_high k gamma_lo + mul32_low k gamma_hi + (lo lsr 32) in
-  { s_hi = hi land mask32; s_lo = lo land mask32; o_hi = 0; o_lo = 0; fp = -1 }
+  if k < 0 || k > 0xFFFFFFFF then invalid_arg "Rng.jump: need 0 <= k < 2^32";
+  of_state (Int64.add (Bytes.get_int64_ne t.st 0) (Int64.mul (Int64.of_int k) gamma))
 
 let bits64 t =
-  advance t;
-  fold_fp t t.o_lo;
-  fold_fp t t.o_hi;
-  Int64.logor
-    (Int64.shift_left (Int64.of_int t.o_hi) 32)
-    (Int64.of_int t.o_lo)
+  let x = next t in
+  fold_fp64 t x;
+  x
 
 let split t =
   (* Two mixes: one output draw seeds the child, keeping parent/child
      streams disjoint under the splitmix64 analysis. *)
-  advance t;
-  fold_fp t t.o_lo;
-  fold_fp t t.o_hi;
-  let c = { s_hi = 0; s_lo = 0; o_hi = 0; o_lo = 0; fp = -1 } in
-  mix_into c t.o_hi t.o_lo;
-  c.s_hi <- c.o_hi;
-  c.s_lo <- c.o_lo;
-  c.o_hi <- 0;
-  c.o_lo <- 0;
-  c
+  let x = next t in
+  fold_fp64 t x;
+  of_state (mix64 x)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Use the top bits via modulo on the non-negative 62-bit projection; the
      modulo bias is negligible for the bounds used in the simulator. *)
-  advance t;
-  let v = ((t.o_hi lsl 30) lor (t.o_lo lsr 2)) mod bound in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) mod bound in
   fold_fp t v;
   v
 
 let bool t =
-  advance t;
-  let v = t.o_lo land 1 in
+  let v = Int64.to_int (next t) land 1 in
   fold_fp t v;
   v = 1
 
 let float t =
   (* 53 random bits -> [0, 1). *)
-  advance t;
-  let m = (t.o_hi lsl 21) lor (t.o_lo lsr 11) in
+  let m = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   fold_fp t m;
   float_of_int m /. 9007199254740992.0
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
-  lo + int t (hi - lo + 1)
+  (* [hi - lo + 1] wraps to a non-positive int exactly when the range
+     holds more than [max_int] values. *)
+  let span = hi - lo + 1 in
+  if span <= 0 then invalid_arg "Rng.int_in_range: range too large";
+  lo + int t span
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

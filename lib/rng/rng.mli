@@ -1,11 +1,14 @@
 (** Deterministic, splittable pseudo-random number generator.
 
     The whole simulator is driven by explicit generator values so that every
-    run is reproducible from a single integer seed.  The core is splitmix64,
-    which is fast, has a 64-bit state, and supports cheap stream splitting:
-    [split t] derives an independent generator, which we use to give the
-    scheduler, each link, and each process its own stream so that adding a
-    consumer does not perturb the draws seen by the others. *)
+    run is reproducible from a single integer seed.  The core is splitmix64:
+    a draw is one add and a two-multiply mix on a 64-bit state held
+    unboxed, so {!int}, {!bool} and {!int_in_range} allocate nothing
+    ({!bits64} and {!float} allocate only their boxed result).  It
+    supports cheap stream splitting: [split t] derives an independent
+    generator, which we use to give the scheduler, each link, and each
+    process its own stream so that adding a consumer does not perturb the
+    draws seen by the others. *)
 
 type t
 
@@ -40,7 +43,8 @@ val bool : t -> bool
 val float : t -> float
 
 (** [int_in_range t ~lo ~hi] is uniform in [\[lo, hi\]] (inclusive).
-    Raises [Invalid_argument] if [hi < lo]. *)
+    Raises [Invalid_argument] if [hi < lo] or if the range holds more
+    than [max_int] values (e.g. [~lo:0 ~hi:max_int]). *)
 val int_in_range : t -> lo:int -> hi:int -> int
 
 (** [pick t xs] is a uniformly random element of [xs].
