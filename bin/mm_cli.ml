@@ -18,6 +18,7 @@ module Net = Mm_net.Network
 module Mem = Mm_mem.Mem
 module Engine = Mm_sim.Engine
 module Hbo = Mm_consensus.Hbo
+module Decisions = Mm_consensus.Decisions
 module Omega = Mm_election.Omega
 module Mutex = Mm_mutex.Mutex
 
@@ -67,6 +68,11 @@ let make_graph family n seed =
 
 let ( let+ ) r f = Result.map f r
 let ( let* ) = Result.bind
+
+(* A configuration an algorithm's [run] rejects with [Invalid_argument]
+   (e.g. [--impl direct] on a graph with edges) is a usage error too. *)
+let rejected f =
+  match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
 
 let family_arg default =
   let doc =
@@ -188,17 +194,19 @@ let experiment_cmd =
 let consensus_cmd =
   let run family n seed impl crashes =
     let* () = check_crashes ~n crashes in
-    let+ graph = make_graph family n seed in
+    let* graph = make_graph family n seed in
     let inputs = Array.init n (fun i -> i mod 2) in
-    let o = Hbo.run ~seed ~impl ~graph ~crashes ~inputs () in
+    let+ o =
+      rejected (fun () -> Hbo.run ~seed ~impl ~graph ~crashes ~inputs ())
+    in
     Format.printf "graph: %s %a   crashes: %d@." family G.pp graph
       (List.length crashes);
     Format.printf "stopped: %a after %d steps@." Engine.pp_stop_reason
-      o.Hbo.reason o.Hbo.total_steps;
+      o.Hbo.run.reason o.Hbo.run.steps;
     Array.iteri
       (fun i d ->
         Format.printf "  p%d%s: %s@." i
-          (if o.Hbo.crashed.(i) then " (crashed)" else "")
+          (if o.Hbo.run.crashed.(i) then " (crashed)" else "")
           (match d with
           | Some v -> Printf.sprintf "decided %d (round %s, step %s)" v
                         (Mm_bench.Table.fmt_opt_int o.Hbo.decide_round.(i))
@@ -206,11 +214,14 @@ let consensus_cmd =
           | None -> "undecided"))
       o.Hbo.decisions;
     Format.printf "agreement: %b  validity: %b  all correct decided: %b@."
-      (Hbo.agreement o) (Hbo.validity ~inputs o) (Hbo.all_correct_decided o);
+      (Decisions.agreement o.Hbo.decisions)
+      (Decisions.validity ~inputs o.Hbo.decisions)
+      (Decisions.all_correct_decided ~crashed:o.Hbo.run.crashed
+         o.Hbo.decisions);
     Format.printf "messages: %d  registers: %d  mem ops: %d  coins: %d@."
-      o.Hbo.net.Net.sent o.Hbo.registers
-      (Mem.total_ops o.Hbo.mem_total)
-      o.Hbo.coin_flips
+      o.Hbo.run.net.Net.sent o.Hbo.registers
+      (Mem.total_ops o.Hbo.run.mem)
+      o.Hbo.run.coin_flips
   in
   Cmd.v
     (Cmd.info "consensus" ~doc:"Run HBO consensus (Figure 2) on a graph.")
@@ -241,26 +252,29 @@ let paxos_cmd =
              ~doc:"Leader oracle: heartbeat | static:<pid> | anarchy.")
   in
   let run oracle n seed crashes =
-    let+ () = check_crashes ~n crashes in
+    let* () = check_crashes ~n crashes in
     let inputs = Array.init n (fun i -> i * 10) in
-    let o = Paxos.run ~seed ~oracle ~n ~crashes ~inputs () in
+    let+ o =
+      rejected (fun () -> Paxos.run ~seed ~oracle ~n ~crashes ~inputs ())
+    in
     Format.printf "stopped: %a after %d steps, max ballot %d@."
-      Engine.pp_stop_reason o.Paxos.reason o.Paxos.total_steps
+      Engine.pp_stop_reason o.Paxos.run.reason o.Paxos.run.steps
       o.Paxos.max_ballot;
     Array.iteri
       (fun i d ->
         Format.printf "  p%d%s: %s@." i
-          (if o.Paxos.crashed.(i) then " (crashed)" else "")
+          (if o.Paxos.run.crashed.(i) then " (crashed)" else "")
           (match d with
           | Some v -> Printf.sprintf "decided %d" v
           | None -> "undecided"))
       o.Paxos.decisions;
     Format.printf "agreement: %b  validity: %b  all correct decided: %b@."
-      (Paxos.agreement o)
-      (Paxos.validity ~inputs o)
-      (Paxos.all_correct_decided o);
-    Format.printf "messages: %d  mem ops: %d@." o.Paxos.net.Net.sent
-      (Mem.total_ops o.Paxos.mem_total)
+      (Decisions.agreement o.Paxos.decisions)
+      (Decisions.validity ~inputs o.Paxos.decisions)
+      (Decisions.all_correct_decided ~crashed:o.Paxos.run.crashed
+         o.Paxos.decisions);
+    Format.printf "messages: %d  mem ops: %d@." o.Paxos.run.net.Net.sent
+      (Mem.total_ops o.Paxos.run.mem)
   in
   Cmd.v
     (Cmd.info "paxos"
@@ -283,16 +297,16 @@ let smr_cmd =
     in
     Format.printf
       "stopped: %a after %d steps; %d slots, %d duplicate slot(s)@."
-      Engine.pp_stop_reason o.Log.reason o.Log.total_steps o.Log.slots_used
+      Engine.pp_stop_reason o.Log.run.reason o.Log.run.steps o.Log.slots_used
       o.Log.duplicate_slots;
     Format.printf "all committed: %b   consistent: %b@." o.Log.all_committed
       o.Log.consistent;
-    Format.printf "messages: %d   mem ops: %d@." o.Log.net.Net.sent
-      (Mem.total_ops o.Log.mem_total);
+    Format.printf "messages: %d   mem ops: %d@." o.Log.run.net.Net.sent
+      (Mem.total_ops o.Log.run.mem);
     Array.iteri
       (fun i log ->
         Format.printf "  p%d%s log: %s@." i
-          (if o.Log.crashed.(i) then " (crashed)" else "")
+          (if o.Log.run.crashed.(i) then " (crashed)" else "")
           (String.concat " "
              (List.map
                 (fun (s, c) ->
@@ -384,7 +398,7 @@ let kv_cmd =
     Format.printf
       "stopped: %a after %d steps; %d/%d completed, consistent: %b, \
        local-reads: %b@."
-      Engine.pp_stop_reason o.Kv.reason o.Kv.total_steps o.Kv.completed ops
+      Engine.pp_stop_reason o.Kv.run.reason o.Kv.run.steps o.Kv.completed ops
       o.Kv.consistent o.Kv.local_reads;
     (match o.Kv.op_timeout with
     | Some d ->
@@ -394,8 +408,8 @@ let kv_cmd =
         d
     | None -> ());
     Format.printf "messages: %d   mem ops: %d   duplicate applies: %d@."
-      o.Kv.net.Net.sent
-      (Mem.total_ops o.Kv.mem_total)
+      o.Kv.run.net.Net.sent
+      (Mem.total_ops o.Kv.run.mem)
       o.Kv.duplicate_applies;
     Format.printf "shard  op   %6s %6s %6s %6s %8s %6s  ops/kstep@." "p50"
       "p99" "p999" "max" "n" "t/o";
@@ -467,7 +481,7 @@ let election_cmd =
     Array.iteri
       (fun i c ->
         Format.printf "  p%d%s window mem: %a@." i
-          (if o.Omega.crashed.(i) then " (crashed)" else "")
+          (if o.Omega.run.crashed.(i) then " (crashed)" else "")
           Mem.pp_counters c)
       o.Omega.window_mem
   in
@@ -481,10 +495,17 @@ let election_cmd =
 
 let mutex_cmd =
   let algo_arg =
+    let bakery = ("bakery", Mutex.Bakery)
+    and local = ("local-spin", Mutex.Local_spin)
+    and mm = ("m&m", Mutex.Mm) in
+    let all = [ bakery; local; mm ] in
     let algos =
-      [ ("bakery", `Bakery); ("local", `Local); ("mm", `Mm); ("all", `All) ]
+      [
+        ("bakery", [ bakery ]); ("local", [ local ]); ("mm", [ mm ]);
+        ("all", all);
+      ]
     in
-    Arg.(value & opt (enum algos) `All & info [ "algo" ] ~docv:"A"
+    Arg.(value & opt (enum algos) all & info [ "algo" ] ~docv:"A"
            ~doc:"bakery | local | mm | all.")
   in
   let entries_arg =
@@ -498,18 +519,13 @@ let mutex_cmd =
       (o.Mutex.safety_violations = 0)
       (Array.fold_left ( + ) 0 o.Mutex.entries)
       (Mutex.wait_reads_per_entry o)
-      o.Mutex.messages_sent o.Mutex.steps
+      o.Mutex.run.net.Net.sent o.Mutex.run.steps
   in
-  let run algo n seed entries =
-    (match algo with
-    | `Bakery -> print_mutex "bakery" (Mutex.run_bakery ~seed ~n ~entries ())
-    | `Local ->
-      print_mutex "local-spin" (Mutex.run_local_spin ~seed ~n ~entries ())
-    | `Mm -> print_mutex "m&m" (Mutex.run_mm ~seed ~n ~entries ())
-    | `All ->
-      print_mutex "bakery" (Mutex.run_bakery ~seed ~n ~entries ());
-      print_mutex "local-spin" (Mutex.run_local_spin ~seed ~n ~entries ());
-      print_mutex "m&m" (Mutex.run_mm ~seed ~n ~entries ()))
+  let run algos n seed entries =
+    List.iter
+      (fun (name, algo) ->
+        print_mutex name (Mutex.run ~algo ~seed ~n ~entries ()))
+      algos
   in
   Cmd.v
     (Cmd.info "mutex" ~doc:"Compare bakery (remote-spin), local-spin and m&m (no-spin) locks.")

@@ -13,6 +13,7 @@ module B = Mm_graph.Builders
 module G = Mm_graph.Graph
 module E = Mm_graph.Expansion
 module Hbo = Mm_consensus.Hbo
+module Decisions = Mm_consensus.Decisions
 
 let check_at_f graph f =
   if f < 0 then true
@@ -25,7 +26,8 @@ let check_at_f graph f =
       Hbo.run ~seed:11 ~impl:Hbo.Trusted ~max_steps:400_000 ~graph ~crashes
         ~inputs ()
     in
-    Hbo.all_correct_decided o && Hbo.agreement o
+    Decisions.all_correct_decided ~crashed:o.Hbo.run.crashed o.Hbo.decisions
+    && Decisions.agreement o.Hbo.decisions
   end
 
 let () =

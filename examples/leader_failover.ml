@@ -26,13 +26,13 @@ let run_and_report ~title ~variant ~crashes ~warmup =
   | Some l -> Printf.printf "agreed leader: p%d\n" l
   | None -> Printf.printf "no agreement (should not happen!)\n");
   Printf.printf "last leadership change at step %d (of %d total steps)\n"
-    o.Omega.last_change_step o.Omega.steps;
+    o.Omega.last_change_step o.Omega.run.steps;
   Printf.printf "steady-state window: %d messages sent\n"
     o.Omega.window_net.Net.sent;
   Array.iteri
     (fun i c ->
       let role =
-        if o.Omega.crashed.(i) then "crashed "
+        if o.Omega.run.crashed.(i) then "crashed "
         else if Some i = o.Omega.agreed_leader then "leader  "
         else "follower"
       in

@@ -16,14 +16,15 @@ let () =
   List.iter
     (fun (n, cs_work) ->
       let entries = 6 in
-      let b = Mutex.run_bakery ~seed:5 ~cs_work ~n ~entries () in
-      let m = Mutex.run_mm ~seed:5 ~cs_work ~n ~entries () in
+      let b = Mutex.run ~algo:Mutex.Bakery ~seed:5 ~cs_work ~n ~entries () in
+      let m = Mutex.run ~algo:Mutex.Mm ~seed:5 ~cs_work ~n ~entries () in
       assert (b.Mutex.safety_violations = 0);
       assert (m.Mutex.safety_violations = 0);
       Printf.printf "%3d %10d | %22.1f | %22.2f %14.2f\n" n cs_work
         (Mutex.wait_reads_per_entry b)
         (Mutex.wait_reads_per_entry m)
-        (float_of_int m.Mutex.messages_sent /. float_of_int (n * entries)))
+        (float_of_int m.Mutex.run.net.Mm_net.Network.sent
+        /. float_of_int (n * entries)))
     [ (2, 10); (2, 50); (4, 10); (4, 50); (8, 10); (8, 50) ];
   Printf.printf
     "\nThe bakery's spinning grows with both contention (n) and critical-\n\

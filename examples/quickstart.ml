@@ -11,6 +11,7 @@ module B = Mm_graph.Builders
 module G = Mm_graph.Graph
 module E = Mm_graph.Expansion
 module Hbo = Mm_consensus.Hbo
+module Decisions = Mm_consensus.Decisions
 module Net = Mm_net.Network
 module Mem = Mm_mem.Mem
 
@@ -44,7 +45,7 @@ let () =
   Array.iteri
     (fun i d ->
       Printf.printf "  p%d%s -> %s\n" i
-        (if o.Hbo.crashed.(i) then " (crashed)" else "          ")
+        (if o.Hbo.run.crashed.(i) then " (crashed)" else "          ")
         (match d with
         | Some v -> Printf.sprintf "decided %d in round %d" v
                       (Option.value ~default:0 o.Hbo.decide_round.(i))
@@ -52,9 +53,9 @@ let () =
     o.Hbo.decisions;
 
   Printf.printf "\nuniform agreement: %b   validity: %b   termination: %b\n"
-    (Hbo.agreement o)
-    (Hbo.validity ~inputs o)
-    (Hbo.all_correct_decided o);
+    (Decisions.agreement o.Hbo.decisions)
+    (Decisions.validity ~inputs o.Hbo.decisions)
+    (Decisions.all_correct_decided ~crashed:o.Hbo.run.crashed o.Hbo.decisions);
   Printf.printf "cost: %d steps, %d messages, %d registers, %d register ops\n"
-    o.Hbo.total_steps o.Hbo.net.Net.sent o.Hbo.registers
-    (Mem.total_ops o.Hbo.mem_total)
+    o.Hbo.run.steps o.Hbo.run.net.Net.sent o.Hbo.registers
+    (Mem.total_ops o.Hbo.run.mem)

@@ -35,9 +35,9 @@ let () =
       ~max_steps:3_000_000 ()
   in
   Printf.printf "run: %s after %d steps, %d slots, %d messages, %d mem ops\n"
-    (Format.asprintf "%a" Mm_sim.Engine.pp_stop_reason o.Log.reason)
-    o.Log.total_steps o.Log.slots_used o.Log.net.Net.sent
-    (Mem.total_ops o.Log.mem_total);
+    (Format.asprintf "%a" Mm_sim.Engine.pp_stop_reason o.Log.run.reason)
+    o.Log.run.steps o.Log.slots_used o.Log.run.net.Net.sent
+    (Mem.total_ops o.Log.run.mem);
   Printf.printf "log consistent across replicas: %b\n" o.Log.consistent;
   Printf.printf "all correct commands committed:  %b\n\n" o.Log.all_committed;
 
@@ -56,7 +56,7 @@ let () =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) kv [] |> List.sort compare
     in
     Printf.printf "  replica %d%s: %s\n" pi
-      (if o.Log.crashed.(pi) then " (crashed)" else "")
+      (if o.Log.run.crashed.(pi) then " (crashed)" else "")
       (String.concat ", "
          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) entries))
   in
@@ -70,7 +70,7 @@ let () =
   let all_equal =
     List.for_all
       (fun pi ->
-        o.Log.crashed.(pi)
+        o.Log.run.crashed.(pi)
         || List.sort compare
              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stores.(pi) [])
            = reference)

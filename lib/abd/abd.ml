@@ -23,13 +23,9 @@ type event = {
 }
 
 type outcome = {
-  reason : Engine.stop_reason;
   history : event list;
   pending : int;
-  crashed : bool array;
-  messages_sent : int;
-  steps : int;
-  trace : Mm_sim.Trace.event list;
+  run : Engine.summary;
 }
 
 type op =
@@ -139,12 +135,7 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0)
     Engine.create ~seed ?delay ~trace_capacity ?backend
       ~domain:(Domain_.isolated n) ~link:Network.Reliable ~n ()
   in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
+  let crashed = Engine.crash_plan eng crashes in
   let history = ref [] in
   let started = ref 0 in
   let completed = ref 0 in
@@ -172,18 +163,11 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0)
     done;
     !ok
   in
-  let reason = Engine.run eng ~max_steps ~until:all_done () in
+  ignore (Engine.run eng ~max_steps ~until:all_done ());
   {
-    reason;
     history = List.rev !history;
     pending = !started - !completed;
-    crashed;
-    messages_sent = (Network.stats (Engine.network eng)).Network.sent;
-    steps = Engine.now eng;
-    trace =
-      (match Engine.trace eng with
-      | None -> []
-      | Some tr -> Mm_sim.Trace.to_list tr);
+    run = Engine.summary eng;
   }
 
 let atomicity_violations o =

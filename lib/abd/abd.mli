@@ -33,14 +33,9 @@ type event = {
 }
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
   history : event list;        (** completed ops, by completion order *)
   pending : int;               (** operations still blocked at the end *)
-  crashed : bool array;
-  messages_sent : int;
-  steps : int;
-  trace : Mm_sim.Trace.event list;
-      (** trailing engine trace (empty unless [trace_capacity] > 0) *)
+  run : Mm_sim.Engine.summary; (** steps, messages, crashes, trace *)
 }
 
 (** Per-process scripts: the ops each process performs, in order.

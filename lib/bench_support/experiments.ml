@@ -9,6 +9,7 @@ module Mem = Mm_mem.Mem
 module Engine = Mm_sim.Engine
 module Sched = Mm_sim.Sched
 module Hbo = Mm_consensus.Hbo
+module Decisions = Mm_consensus.Decisions
 module Ben_or = Mm_consensus.Ben_or
 module Sm = Mm_consensus.Sm_consensus
 module Omega = Mm_election.Omega
@@ -34,6 +35,13 @@ let ff = Table.fmt_float
 let fb = Table.fmt_bool
 
 let alternating n = Array.init n (fun i -> i mod 2)
+
+(* HBO's verdicts as the tables print them: every process that never
+   crashed decided ([hbo_decided]), and all on one value ([hbo_ok]). *)
+let hbo_decided (o : Hbo.outcome) =
+  Decisions.all_correct_decided ~crashed:o.Hbo.run.crashed o.Hbo.decisions
+
+let hbo_ok o = hbo_decided o && Decisions.agreement o.Hbo.decisions
 
 (* ------------------------------------------------------------------ *)
 (* E1: shared-memory domains (Figure 1)                                *)
@@ -84,16 +92,11 @@ let e1_domains _scale =
 let e2_consensus_cost scale =
   let sizes = pick scale ~quick:[ 5 ] ~full:[ 6; 10; 16 ] in
   let row_of_runs label n runs =
-    let all_ok =
-      List.for_all
-        (fun (o : Hbo.outcome) ->
-          Hbo.all_correct_decided o && Hbo.agreement o)
-        runs
-    in
+    let all_ok = List.for_all hbo_ok runs in
     let rounds = mean_int (List.map Hbo.max_round runs) in
-    let steps = mean_int (List.map (fun o -> o.Hbo.total_steps) runs) in
-    let msgs = mean_int (List.map (fun o -> o.Hbo.net.Network.sent) runs) in
-    let mem = mean_int (List.map (fun o -> Mem.total_ops o.Hbo.mem_total) runs) in
+    let steps = mean_int (List.map (fun o -> o.Hbo.run.steps) runs) in
+    let msgs = mean_int (List.map (fun o -> o.Hbo.run.net.Network.sent) runs) in
+    let mem = mean_int (List.map (fun o -> Mem.total_ops o.Hbo.run.mem) runs) in
     [ string_of_int n; label; fb all_ok; ff rounds; ff steps; ff msgs; ff mem ]
   in
   let rows =
@@ -118,10 +121,17 @@ let e2_consensus_cost scale =
         let sm_rows =
           let runs = List.map (fun seed -> Sm.run ~seed ~n ~inputs ()) (seeds scale) in
           let ok =
-            List.for_all (fun o -> Sm.all_correct_decided o && Sm.agreement o) runs
+            List.for_all
+              (fun o ->
+                Decisions.all_correct_decided ~crashed:o.Sm.run.crashed
+                  o.Sm.decisions
+                && Decisions.agreement o.Sm.decisions)
+              runs
           in
-          let steps = mean_int (List.map (fun o -> o.Sm.total_steps) runs) in
-          let mem = mean_int (List.map (fun o -> Mem.total_ops o.Sm.mem_total) runs) in
+          let steps = mean_int (List.map (fun o -> o.Sm.run.steps) runs) in
+          let mem =
+            mean_int (List.map (fun o -> Mem.total_ops o.Sm.run.mem) runs)
+          in
           [ string_of_int n; "SM-only (K_n)"; fb ok; "-"; ff steps; "0"; ff mem ]
         in
         [
@@ -180,7 +190,7 @@ let e3_tolerance_vs_expansion scale =
               Hbo.run ~seed ~impl:Hbo.Trusted ~max_steps:400_000 ~graph:g
                 ~crashes ~inputs ()
             in
-            Hbo.all_correct_decided o && Hbo.agreement o)
+            hbo_ok o)
           (pick scale ~quick:[ 1 ] ~full:[ 1; 2 ])
       in
       Some ok
@@ -195,7 +205,7 @@ let e3_tolerance_vs_expansion scale =
         Hbo.run ~seed:1 ~impl:Hbo.Trusted ~max_steps:80_000 ~graph:g ~crashes
           ~inputs ()
       in
-      Some (not (Hbo.all_correct_decided o))
+      Some (not (hbo_decided o))
     end
   in
   let rows =
@@ -280,16 +290,16 @@ let e4_impossibility scale =
               Printf.sprintf "barbell k=%d (n=%d)" k n;
               string_of_int (List.length cut.Cut.b);
               "yes";
-              fb (Hbo.all_correct_decided o);
-              fb (Hbo.agreement o);
+              fb (hbo_decided o);
+              fb (Decisions.agreement o.Hbo.decisions);
               "blocked as Thm 4.4 predicts";
             ];
             [
               Printf.sprintf "complete (n=%d)" n;
               string_of_int (List.length cut.Cut.b);
               "no";
-              fb (Hbo.all_correct_decided o_kn);
-              fb (Hbo.agreement o_kn);
+              fb (hbo_decided o_kn);
+              fb (Decisions.agreement o_kn.Hbo.decisions);
               "same adversary, no SM-cut: decides";
             ];
           ])
@@ -325,7 +335,7 @@ let leader_row n (o : Omega.outcome) =
   let foll_reads = ref 0 and foll_writes = ref 0 and foll_n = ref 0 in
   Array.iteri
     (fun i c ->
-      if Some i <> l && not o.Omega.crashed.(i) then begin
+      if Some i <> l && not o.Omega.run.crashed.(i) then begin
         incr foll_n;
         foll_reads := !foll_reads + c.Mem.reads_local + c.Mem.reads_remote;
         foll_writes := !foll_writes + c.Mem.writes_local + c.Mem.writes_remote
@@ -448,9 +458,9 @@ let e8_synchrony scale =
         in
         [
           Printf.sprintf "1..%d" d;
-          fb (Mp.holds mp);
-          string_of_int mp.Mp.total_changes;
-          string_of_int mp.Mp.window_net.Network.sent;
+          fb (Omega.holds mp);
+          string_of_int mp.Omega.total_changes;
+          string_of_int mp.Omega.window_net.Network.sent;
           fb (Omega.holds mm);
           string_of_int mm.Omega.total_changes;
           string_of_int mm.Omega.window_net.Network.sent;
@@ -487,9 +497,10 @@ let e9_mutex scale =
   let rows =
     List.map
       (fun n ->
-        let b = Mutex.run_bakery ~seed:3 ~cs_work:25 ~n ~entries () in
-        let l = Mutex.run_local_spin ~seed:3 ~cs_work:25 ~n ~entries () in
-        let m = Mutex.run_mm ~seed:3 ~cs_work:25 ~n ~entries () in
+        let run algo = Mutex.run ~algo ~seed:3 ~cs_work:25 ~n ~entries () in
+        let b = run Mutex.Bakery in
+        let l = run Mutex.Local_spin in
+        let m = run Mutex.Mm in
         let per_entry v = float_of_int v /. float_of_int (n * entries) in
         let remote_per_entry (o : Mutex.outcome) =
           let total = Array.fold_left ( + ) 0 o.Mutex.wait_reads in
@@ -506,7 +517,7 @@ let e9_mutex scale =
           ff (Mutex.wait_reads_per_entry l);
           ff (remote_per_entry l);
           ff (Mutex.wait_reads_per_entry m);
-          ff (per_entry m.Mutex.messages_sent);
+          ff (per_entry m.Mutex.run.net.Network.sent);
         ])
       sizes
   in
@@ -571,7 +582,7 @@ let e10_abd_vs_native scale =
       string_of_int (List.length o.Abd.history);
       string_of_int o.Abd.pending;
       fb (Abd.atomicity_violations o = []);
-      string_of_int o.Abd.messages_sent;
+      string_of_int o.Abd.run.net.Network.sent;
     ]
   in
   let native_row label crashes =
@@ -649,8 +660,8 @@ let e11_scalability scale =
           string_of_int f_star;
           Printf.sprintf "%d (%d%%)" f_test (100 * f_test / n);
           string_of_int rep;
-          fb (Hbo.all_correct_decided o && Hbo.agreement o);
-          string_of_int o.Hbo.total_steps;
+          fb (hbo_ok o);
+          string_of_int o.Hbo.run.steps;
         ])
       ms
   in
@@ -690,11 +701,13 @@ let e12_consensus_families scale =
     in
     [
       label;
-      fb (Hbo.all_correct_decided o);
-      fb (Hbo.agreement o && Hbo.validity ~inputs o);
-      string_of_int o.Hbo.total_steps;
-      string_of_int o.Hbo.net.Network.sent;
-      string_of_int (Mem.total_ops o.Hbo.mem_total);
+      fb (hbo_decided o);
+      fb
+        (Decisions.agreement o.Hbo.decisions
+        && Decisions.validity ~inputs o.Hbo.decisions);
+      string_of_int o.Hbo.run.steps;
+      string_of_int o.Hbo.run.net.Network.sent;
+      string_of_int (Mem.total_ops o.Hbo.run.mem);
     ]
   in
   let paxos_row =
@@ -704,24 +717,27 @@ let e12_consensus_families scale =
     in
     [
       "Paxos-SM + Ω (K_n)";
-      fb (Mm_consensus.Paxos.all_correct_decided o);
       fb
-        (Mm_consensus.Paxos.agreement o
-        && Mm_consensus.Paxos.validity ~inputs o);
-      string_of_int o.Mm_consensus.Paxos.total_steps;
-      string_of_int o.Mm_consensus.Paxos.net.Network.sent;
-      string_of_int (Mem.total_ops o.Mm_consensus.Paxos.mem_total);
+        (Decisions.all_correct_decided ~crashed:o.Mm_consensus.Paxos.run.crashed
+           o.Mm_consensus.Paxos.decisions);
+      fb
+        (Decisions.agreement o.Mm_consensus.Paxos.decisions
+        && Decisions.validity ~inputs o.Mm_consensus.Paxos.decisions);
+      string_of_int o.Mm_consensus.Paxos.run.steps;
+      string_of_int o.Mm_consensus.Paxos.run.net.Network.sent;
+      string_of_int (Mem.total_ops o.Mm_consensus.Paxos.run.mem);
     ]
   in
   let sm_row =
     let o = Sm.run ~seed:9 ~max_steps:1_000_000 ~n ~crashes ~inputs () in
     [
       "rand-consensus (K_n)";
-      fb (Sm.all_correct_decided o);
-      fb (Sm.agreement o);
-      string_of_int o.Sm.total_steps;
+      fb
+        (Decisions.all_correct_decided ~crashed:o.Sm.run.crashed o.Sm.decisions);
+      fb (Decisions.agreement o.Sm.decisions);
+      string_of_int o.Sm.run.steps;
       "0";
-      string_of_int (Mem.total_ops o.Sm.mem_total);
+      string_of_int (Mem.total_ops o.Sm.run.mem);
     ]
   in
   let ben_or_row =
@@ -730,10 +746,10 @@ let e12_consensus_families scale =
     in
     [
       "Ben-Or (MP-only)";
-      fb (Hbo.all_correct_decided o);
-      fb (Hbo.agreement o);
-      Printf.sprintf "%d (cap)" o.Hbo.total_steps;
-      string_of_int o.Hbo.net.Network.sent;
+      fb (hbo_decided o);
+      fb (Decisions.agreement o.Hbo.decisions);
+      Printf.sprintf "%d (cap)" o.Hbo.run.steps;
+      string_of_int o.Hbo.run.net.Network.sent;
       "0";
     ]
   in
@@ -793,10 +809,10 @@ let e13_replicated_log scale =
           fb o.Log.consistent;
           string_of_int o.Log.slots_used;
           string_of_int o.Log.duplicate_slots;
-          ff (float_of_int o.Log.total_steps /. float_of_int slots);
-          ff (float_of_int o.Log.net.Network.sent /. float_of_int slots);
+          ff (float_of_int o.Log.run.steps /. float_of_int slots);
+          ff (float_of_int o.Log.run.net.Network.sent /. float_of_int slots);
           ff
-            (float_of_int (Mem.total_ops o.Log.mem_total)
+            (float_of_int (Mem.total_ops o.Log.run.mem)
             /. float_of_int slots);
         ])
       configs
@@ -884,17 +900,13 @@ let a1_object_impl scale =
         let runs =
           List.map (fun seed -> Hbo.run ~seed ~impl ~graph:g ~inputs ()) (seeds scale)
         in
-        let ok =
-          List.for_all
-            (fun o -> Hbo.all_correct_decided o && Hbo.agreement o)
-            runs
-        in
+        let ok = List.for_all hbo_ok runs in
         [
           label;
           fb ok;
-          ff (mean_int (List.map (fun (o : Hbo.outcome) -> o.Hbo.total_steps) runs));
+          ff (mean_int (List.map (fun o -> o.Hbo.run.steps) runs));
           ff (mean_int (List.map (fun o -> o.Hbo.registers) runs));
-          ff (mean_int (List.map (fun o -> Mem.total_ops o.Hbo.mem_total) runs));
+          ff (mean_int (List.map (fun o -> Mem.total_ops o.Hbo.run.mem) runs));
           ff (mean_int (List.map Hbo.max_round runs));
         ])
       [ ("trusted objects", Hbo.Trusted); ("register objects", Hbo.Registers) ]
@@ -928,18 +940,13 @@ let a2_scheduler scale =
                 (fun seed -> run ~seed ~sched:(Sched.create base))
                 (seeds scale)
             in
-            let ok =
-              List.for_all
-                (fun (o : Hbo.outcome) ->
-                  Hbo.all_correct_decided o && Hbo.agreement o)
-                runs
-            in
+            let ok = List.for_all hbo_ok runs in
             [
               sname;
               aname;
               fb ok;
               ff (mean_int (List.map Hbo.max_round runs));
-              ff (mean_int (List.map (fun o -> o.Hbo.total_steps) runs));
+              ff (mean_int (List.map (fun o -> o.Hbo.run.steps) runs));
             ])
           [
             ( "ben-or",
@@ -1067,8 +1074,8 @@ let e15_threshold_sweep scale =
               Hbo.run ~seed:(4242 + f) ~impl:Hbo.Trusted ~max_steps
                 ~graph:g ~crashes ~inputs:(Array.make n 0) ()
             in
-            let ok = Hbo.all_correct_decided o && Hbo.agreement o in
-            if ok then probe_steps := o.Hbo.total_steps;
+            let ok = hbo_ok o in
+            if ok then probe_steps := o.Hbo.run.steps;
             ok
           end
         in

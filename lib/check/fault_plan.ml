@@ -145,13 +145,13 @@ let prepare t =
 
 (* Leads the monitor list, so a majority-crash trial is diagnosed
    against the emulation's bound, not as a generic liveness failure. *)
-let resilience spec ~blocked ~crashed =
+let resilience spec run =
   match spec.backend with
   | Backend.Native -> []
   | Backend.Emulated ->
     [
       ( "emulated-resilience",
-        Monitor.emulated_resilience ~order:spec.n ~blocked ~crashed );
+        fun o -> Monitor.emulated_resilience ~order:spec.n (run o) );
     ]
 
 let fmt_crashes = function

@@ -123,12 +123,11 @@ val sched : spec -> t -> int * Mm_sim.Sched.t
 val prepare : t -> (Mm_sim.Engine.t -> unit) option
 
 (** The ["emulated-resilience"] monitor under [Emulated] (a register op
-    may block only once a majority of the [n] hosts is down), nothing
-    under [Native]. *)
+    may block only once a majority of the [n] hosts is down), over the
+    outcome's run record; nothing under [Native]. *)
 val resilience :
   spec ->
-  blocked:('o -> int) ->
-  crashed:('o -> bool array) ->
+  ('o -> Mm_sim.Engine.summary) ->
   (string * ('o -> Monitor.verdict)) list
 
 (** The report lines: ["crashes"] (unless [No_crashes]) and

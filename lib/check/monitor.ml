@@ -1,5 +1,7 @@
 module Hbo = Mm_consensus.Hbo
 module Paxos = Mm_consensus.Paxos
+module Decisions = Mm_consensus.Decisions
+module Engine = Mm_sim.Engine
 module Omega = Mm_election.Omega
 module Abd = Mm_abd.Abd
 module Mutex = Mm_mutex.Mutex
@@ -36,15 +38,8 @@ let no_sends_after ~step events =
       (Format.asprintf "message sent at step %d (>= %d): %a" e.Trace.step step
          Trace.pp_event e)
 
-let undecided_correct (o : Hbo.outcome) =
-  let acc = ref [] in
-  Array.iteri
-    (fun i d -> if (not o.Hbo.crashed.(i)) && d = None then acc := i :: !acc)
-    o.Hbo.decisions;
-  List.rev !acc
-
-let hbo_agreement o =
-  if Hbo.agreement o then Pass
+let agreement decisions =
+  if Decisions.agreement decisions then Pass
   else
     Fail
       (Format.asprintf "processes decided different values: %s"
@@ -55,19 +50,19 @@ let hbo_agreement o =
                     match d with
                     | Some v -> Printf.sprintf "p%d=%d" i v
                     | None -> Printf.sprintf "p%d=?" i)
-                  o.Hbo.decisions))))
+                  decisions))))
 
-let hbo_validity ~inputs o =
-  if Hbo.validity ~inputs o then Pass
+let validity ~inputs decisions =
+  if Decisions.validity ~inputs decisions then Pass
   else Fail "a decision value was nobody's input"
 
-let hbo_termination ~graph o =
-  match undecided_correct o with
+let hbo_termination ~graph (o : Hbo.outcome) =
+  match Decisions.undecided ~crashed:o.Hbo.run.crashed o.Hbo.decisions with
   | [] -> Pass
   | undecided ->
     let crashed =
       let acc = ref [] in
-      Array.iteri (fun i c -> if c then acc := i :: !acc) o.Hbo.crashed;
+      Array.iteri (fun i c -> if c then acc := i :: !acc) o.Hbo.run.crashed;
       List.rev !acc
     in
     let represented = Expansion.represented graph ~crashed in
@@ -102,19 +97,19 @@ let hbo_termination ~graph o =
       (Printf.sprintf
          "correct process(es) %s undecided after %d steps; crashed {%s}: %s"
          (String.concat "," (List.map (Printf.sprintf "p%d") undecided))
-         o.Hbo.total_steps
+         o.Hbo.run.steps
          (String.concat "," (List.map string_of_int crashed))
          analysis)
 
-let hbo_stalls o =
-  match undecided_correct o with
+let hbo_stalls (o : Hbo.outcome) =
+  match Decisions.undecided ~crashed:o.Hbo.run.crashed o.Hbo.decisions with
   | _ :: _ -> Pass
   | [] ->
     Fail
       (Printf.sprintf
          "all correct processes decided (after %d steps) on a \
           configuration where consensus must stall (Thm 4.4)"
-         o.Hbo.total_steps)
+         o.Hbo.run.steps)
 
 let omega_stable (o : Omega.outcome) =
   if Omega.holds o then Pass
@@ -135,7 +130,7 @@ let omega_stable (o : Omega.outcome) =
 let omega_converges ~heal_by ~settle (o : Omega.outcome) =
   match o.Omega.agreed_leader with
   | None -> Fail "no agreed leader after the last fault cleared"
-  | Some l when o.Omega.crashed.(l) ->
+  | Some l when o.Omega.run.crashed.(l) ->
     Fail (Printf.sprintf "agreed leader p%d is crashed" l)
   | Some l ->
     if o.Omega.last_change_step <= heal_by + settle then Pass
@@ -159,8 +154,8 @@ let omega_silent (o : Omega.outcome) =
 (* Resilience bound of ABD-emulated registers (arXiv 1906.00298,
    arXiv 2012.10846): the emulation stays correct and wait-free while a
    majority of hosts are up, and loses wait-freedom exactly when a
-   majority has crashed.  [blocked]/[crashed] project the scenario's
-   outcome; [order] is the system size n.  Two distinct failures:
+   majority has crashed.  [order] is the system size n.  Two distinct
+   failures:
 
    - ops blocked although a majority survived — the emulation violated
      its own bound, an implementation bug;
@@ -168,12 +163,13 @@ let omega_silent (o : Omega.outcome) =
      liveness loss the native backend does not have.  Reported as a
      failure so sweeps that exceed the bound surface a replayable
      counterexample distinguishing the backends. *)
-let emulated_resilience ~order ~blocked ~crashed o =
-  let b = blocked o in
+let emulated_resilience ~order (run : Engine.summary) =
+  let b = run.blocked in
   if b = 0 then Pass
   else begin
-    let cr : bool array = crashed o in
-    let down = Array.fold_left (fun a c -> if c then a + 1 else a) 0 cr in
+    let down =
+      Array.fold_left (fun a c -> if c then a + 1 else a) 0 run.crashed
+    in
     let live = order - down in
     if 2 * live > order then
       Fail
@@ -212,7 +208,7 @@ let abd_complete (o : Abd.outcome) =
   else
     Fail
       (Printf.sprintf "%d operation(s) still blocked after %d steps"
-         o.Abd.pending o.Abd.steps)
+         o.Abd.pending o.Abd.run.steps)
 
 let abd_atomic o =
   match Abd.atomicity_violations o with
@@ -227,38 +223,15 @@ let abd_linearizable (o : Abd.outcome) =
          "completed history of %d operation(s) admits no linearization"
          (List.length o.Abd.history))
 
-let paxos_agreement (o : Paxos.outcome) =
-  if Paxos.agreement o then Pass
-  else
-    Fail
-      (Format.asprintf "processes decided different values: %s"
-         (String.concat " "
-            (Array.to_list
-               (Array.mapi
-                  (fun i d ->
-                    match d with
-                    | Some v -> Printf.sprintf "p%d=%d" i v
-                    | None -> Printf.sprintf "p%d=?" i)
-                  o.Paxos.decisions))))
-
-let paxos_validity ~inputs (o : Paxos.outcome) =
-  if Paxos.validity ~inputs o then Pass
-  else Fail "a decision value was nobody's input"
-
 let paxos_termination (o : Paxos.outcome) =
-  if Paxos.all_correct_decided o then Pass
-  else begin
-    let undecided = ref [] in
-    Array.iteri
-      (fun i d ->
-        if (not o.Paxos.crashed.(i)) && d = None then undecided := i :: !undecided)
-      o.Paxos.decisions;
+  match Decisions.undecided ~crashed:o.Paxos.run.crashed o.Paxos.decisions with
+  | [] -> Pass
+  | undecided ->
     Fail
       (Printf.sprintf
          "correct process(es) %s undecided after %d steps (max ballot %d)"
-         (String.concat "," (List.map (Printf.sprintf "p%d") (List.rev !undecided)))
-         o.Paxos.total_steps o.Paxos.max_ballot)
-  end
+         (String.concat "," (List.map (Printf.sprintf "p%d") undecided))
+         o.Paxos.run.steps o.Paxos.max_ballot)
 
 let mutex_exclusion (o : Mutex.outcome) =
   if o.Mutex.safety_violations = 0 then Pass
@@ -293,7 +266,7 @@ let mutex_progress ~entries (o : Mutex.outcome) =
       (Printf.sprintf "process(es) %s completed fewer than %d entries in %d steps"
          (String.concat " "
             (List.map (fun (i, e) -> Printf.sprintf "p%d=%d" i e) ls))
-         entries o.Mutex.steps)
+         entries o.Mutex.run.steps)
 
 let smr_consistent (o : Log.outcome) =
   if o.Log.consistent then Pass
@@ -404,7 +377,7 @@ let kv_complete (o : Mm_kv.Kv.outcome) =
     Fail
       (Printf.sprintf "%d of %d request(s) incomplete after %d steps"
          (total - o.Mm_kv.Kv.completed)
-         total o.Mm_kv.Kv.total_steps)
+         total o.Mm_kv.Kv.run.steps)
 
 (* Graceful degradation: every request that arrived before the last
    fault cleared must complete within [settle] steps of the heal. *)
@@ -428,7 +401,7 @@ let kv_recovers ~heal_by ~settle (o : Mm_kv.Kv.outcome) =
       (Printf.sprintf
          "%d request(s) from before the heal (step %d) not complete within \
           %d step(s) of it (run ended at %d)"
-         !late heal_by settle o.Mm_kv.Kv.total_steps)
+         !late heal_by settle o.Mm_kv.Kv.run.steps)
 
 (* Durability across crash-recovery: an acknowledged put must never be
    lost.  Acknowledgement means the request completed (the client saw a
@@ -475,4 +448,4 @@ let smr_committed (o : Log.outcome) =
       (Printf.sprintf
          "not every correct process applied every correct command after %d \
           steps (%d slot(s) used)"
-         o.Log.total_steps o.Log.slots_used)
+         o.Log.run.steps o.Log.slots_used)

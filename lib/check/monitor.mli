@@ -23,20 +23,14 @@ val first_failure :
 (** {2 Backend-generic monitors} *)
 
 (** Resilience bound of ABD-emulated registers (arXiv 1906.00298,
-    arXiv 2012.10846), generic over the scenario outcome: [blocked]
-    projects the store's blocked-op count, [crashed] the crash vector,
-    [order] is n.  Passes when no op blocked.  Fails when ops blocked
-    below the minority bound (emulation bug), and fails — with a
-    diagnosis naming the bound and noting native registers tolerate the
-    crash set — when a majority crash cost the emulation its
-    wait-freedom.  List it before termination-style monitors so the
+    arXiv 2012.10846), over any algorithm's run record ([blocked] ops,
+    [crashed] victims); [order] is n.  Passes when no op blocked.  Fails
+    when ops blocked below the minority bound (emulation bug), and fails
+    — with a diagnosis naming the bound and noting native registers
+    tolerate the crash set — when a majority crash cost the emulation
+    its wait-freedom.  List it before termination-style monitors so the
     backend-specific diagnosis wins. *)
-val emulated_resilience :
-  order:int ->
-  blocked:('o -> int) ->
-  crashed:('o -> bool array) ->
-  'o ->
-  verdict
+val emulated_resilience : order:int -> Mm_sim.Engine.summary -> verdict
 
 (** {2 Per-step monitors (over recorded trace events)} *)
 
@@ -45,10 +39,13 @@ val emulated_resilience :
     evaluated step by step on the trace. *)
 val no_sends_after : step:int -> Mm_sim.Trace.event list -> verdict
 
-(** {2 HBO consensus (Figure 2, Theorems 4.1–4.4)} *)
+(** {2 Consensus: HBO (Figure 2, Theorems 4.1–4.4) and Paxos}
 
-val hbo_agreement : Mm_consensus.Hbo.outcome -> verdict
-val hbo_validity : inputs:int array -> Mm_consensus.Hbo.outcome -> verdict
+    [agreement] and [validity] judge any run's per-process decisions
+    ({!Mm_consensus.Decisions}). *)
+
+val agreement : int option array -> verdict
+val validity : inputs:int array -> int option array -> verdict
 
 (** Termination within the step budget.  The diagnosis explains whether
     the crash set left a represented majority (checker or budget bug) or
@@ -92,13 +89,9 @@ val abd_atomic : Mm_abd.Abd.outcome -> verdict
 (** Value-level linearizability of the completed history ({!Lin}). *)
 val abd_linearizable : Mm_abd.Abd.outcome -> verdict
 
-(** {2 Ω-driven shared-memory Paxos (§5 composition)} *)
-
-val paxos_agreement : Mm_consensus.Paxos.outcome -> verdict
-val paxos_validity : inputs:int array -> Mm_consensus.Paxos.outcome -> verdict
-
-(** Every correct process decided within the step budget.  Only sound
-    on fair schedules with a non-adversarial oracle and no crashes. *)
+(** Ω-driven shared-memory Paxos (§5 composition): every correct
+    process decided within the step budget.  Only sound on fair
+    schedules with a non-adversarial oracle and no crashes. *)
 val paxos_termination : Mm_consensus.Paxos.outcome -> verdict
 
 (** {2 Mutual exclusion (§1 motivating example)} *)

@@ -109,4 +109,4 @@ let shrink (cfg : cfg) ~still_fails t =
     ~still_fails:(fun plan -> still_fails { t with plan })
     t.plan
 
-let trace (o : outcome) = o.Abd.trace
+let trace (o : outcome) = o.Abd.run.trace

@@ -68,6 +68,10 @@ let cfg_of_params (p : Scenario.params) =
     match p.Scenario.graph with Some g -> g | None -> B.complete p.Scenario.n
   in
   let n = Graph.order graph in
+  if p.Scenario.impl = Hbo.Direct && Graph.size graph <> 0 then
+    invalid_arg
+      "hbo: --impl direct is pure Ben-Or and needs an edgeless graph (-g \
+       edgeless)";
   let stall =
     if p.Scenario.expect_stall then Some (stall_scenario graph) else None
   in
@@ -130,11 +134,10 @@ let execute ?arena:_ (cfg : cfg) (t : trial) =
 (* Termination only on the fair walk: PCT schedules are too skewed to
    give every process enough steps inside the budget. *)
 let monitors (cfg : cfg) (t : trial) =
-  Fault_plan.resilience cfg.plan
-    ~blocked:(fun (o : outcome) -> o.Hbo.mem_blocked)
-    ~crashed:(fun (o : outcome) -> o.Hbo.crashed)
-  @ ("agreement", Monitor.hbo_agreement)
-  :: ("validity", Monitor.hbo_validity ~inputs:t.inputs)
+  Fault_plan.resilience cfg.plan (fun (o : outcome) -> o.Hbo.run)
+  @ ("agreement", fun (o : outcome) -> Monitor.agreement o.Hbo.decisions)
+  :: ( "validity",
+       fun (o : outcome) -> Monitor.validity ~inputs:t.inputs o.Hbo.decisions )
   ::
   (match cfg.stall with
   | Some _ -> [ ("sm-cut-stall", Monitor.hbo_stalls) ]
@@ -169,4 +172,4 @@ let shrink (cfg : cfg) ~still_fails (t : trial) =
     ~still_fails:(fun plan -> still_fails { t with plan })
     t.plan
 
-let trace (o : outcome) = o.Hbo.trace
+let trace (o : outcome) = o.Hbo.run.trace

@@ -147,9 +147,8 @@ let execute ?arena:_ (cfg : cfg) t =
    post-heal recovery a fair schedule and no crashes. *)
 let monitors (cfg : cfg) t =
   let { Fault_plan.k; crashes; nemesis; restarts; _ } = t.plan in
-  Fault_plan.resilience (plan cfg ~shards:t.shards)
-    ~blocked:(fun (o : outcome) -> o.Kv.mem_blocked)
-    ~crashed:(fun (o : outcome) -> o.Kv.crashed)
+  Fault_plan.resilience (plan cfg ~shards:t.shards) (fun (o : outcome) ->
+      o.Kv.run)
   @ ("kv-log-consistent", Monitor.kv_log_consistent)
   :: ("kv-linearizable", Monitor.kv_linearizable)
   :: ((* Durability needs the quiescent stop (every live replica caught
@@ -210,4 +209,4 @@ let shrink (cfg : cfg) ~still_fails t =
        ~still_fails:(fun plan -> still_fails { t with plan })
        t.plan
 
-let trace (o : outcome) = o.Kv.trace
+let trace (o : outcome) = o.Kv.run.trace

@@ -11,10 +11,8 @@ type cfg = {
   trace_tail : int;
 }
 
-type algo = Bakery | Local_spin | Mm
-
 type trial = {
-  algo : algo;
+  algo : Mutex.algo;
   entries : int;
   cs_work : int;
   plan : Fault_plan.t;
@@ -22,7 +20,7 @@ type trial = {
 
 type outcome = Mutex.outcome
 
-let algo_desc = function
+let algo_desc : Mutex.algo -> string = function
   | Bakery -> "bakery"
   | Local_spin -> "local-spin"
   | Mm -> "mm"
@@ -49,7 +47,10 @@ let preamble _ = None
 (* Draw order is the replay contract; never reorder. *)
 let gen (cfg : cfg) rng =
   let algo =
-    match Rng.int rng 3 with 0 -> Bakery | 1 -> Local_spin | _ -> Mm
+    match Rng.int rng 3 with
+    | 0 -> Mutex.Bakery
+    | 1 -> Mutex.Local_spin
+    | _ -> Mutex.Mm
   in
   let entries =
     match cfg.entries with Some e -> e | None -> 1 + Rng.int rng 3
@@ -59,13 +60,7 @@ let gen (cfg : cfg) rng =
 
 let execute ?arena:_ (cfg : cfg) (t : trial) =
   let max_steps, sched = Fault_plan.sched cfg.plan t.plan in
-  let run =
-    match t.algo with
-    | Bakery -> Mutex.run_bakery
-    | Local_spin -> Mutex.run_local_spin
-    | Mm -> Mutex.run_mm
-  in
-  run ~seed:t.plan.engine_seed ~max_steps ~cs_work:t.cs_work
+  Mutex.run ~algo:t.algo ~seed:t.plan.engine_seed ~max_steps ~cs_work:t.cs_work
     ~trace_capacity:cfg.trace_tail ?prepare:(Fault_plan.prepare t.plan)
     ~backend:cfg.plan.backend ~sched ~n:cfg.plan.n ~entries:t.entries ()
 
@@ -76,11 +71,9 @@ let execute ?arena:_ (cfg : cfg) (t : trial) =
    resilience monitor is a pure accounting guard: any blocked op with
    every host up is an emulation bug. *)
 let monitors (cfg : cfg) (t : trial) =
-  Fault_plan.resilience cfg.plan
-    ~blocked:(fun (o : outcome) -> o.Mutex.mem_blocked)
-    ~crashed:(fun (_ : outcome) -> Array.make cfg.plan.n false)
+  Fault_plan.resilience cfg.plan (fun (o : outcome) -> o.Mutex.run)
   @ ("mutex-exclusion", Monitor.mutex_exclusion)
-  :: ((if t.algo = Mm then [ ("mutex-no-spin", Monitor.mutex_no_spin) ]
+  :: ((if t.algo = Mutex.Mm then [ ("mutex-no-spin", Monitor.mutex_no_spin) ]
        else [])
      @
      if t.plan.k = 0 then
@@ -109,4 +102,4 @@ let shrink (cfg : cfg) ~still_fails (t : trial) =
        ~still_fails:(fun plan -> still_fails { t with entries; plan })
        t.plan
 
-let trace (o : outcome) = o.Mutex.trace
+let trace (o : outcome) = o.Mutex.run.trace

@@ -98,9 +98,7 @@ let monitors (cfg : cfg) (t : trial) =
       (max (Nemesis.heal_step nemesis) (Nemesis.heal_step restarts))
       (List.fold_left (fun acc (_, s) -> max acc s) 0 crashes)
   in
-  Fault_plan.resilience cfg.plan
-    ~blocked:(fun (o : outcome) -> o.Omega.mem_blocked)
-    ~crashed:(fun (o : outcome) -> o.Omega.crashed)
+  Fault_plan.resilience cfg.plan (fun (o : outcome) -> o.Omega.run)
   @ ("omega-stable", Monitor.omega_stable)
     :: ((if nemesis <> [] then
            [
@@ -149,4 +147,4 @@ let shrink (cfg : cfg) ~still_fails (t : trial) =
     ~still_fails:(fun plan -> still_fails { t with plan })
     t.plan
 
-let trace (o : outcome) = o.Omega.trace
+let trace (o : outcome) = o.Omega.run.trace

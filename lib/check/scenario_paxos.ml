@@ -56,11 +56,12 @@ let execute ?arena:_ (cfg : cfg) (t : trial) =
    Termination needs a fair schedule, no crashes (a dead Static leader
    never proposes) and a stabilizing oracle. *)
 let monitors (cfg : cfg) (t : trial) =
-  Fault_plan.resilience cfg.plan
-    ~blocked:(fun (o : outcome) -> o.Paxos.mem_blocked)
-    ~crashed:(fun (o : outcome) -> o.Paxos.crashed)
-  @ ("paxos-agreement", Monitor.paxos_agreement)
-  :: ("paxos-validity", Monitor.paxos_validity ~inputs:t.inputs)
+  Fault_plan.resilience cfg.plan (fun (o : outcome) -> o.Paxos.run)
+  @ ( "paxos-agreement",
+      fun (o : outcome) -> Monitor.agreement o.Paxos.decisions )
+  :: ( "paxos-validity",
+       fun (o : outcome) ->
+         Monitor.validity ~inputs:t.inputs o.Paxos.decisions )
   ::
   (if t.plan.k = 0 && t.plan.crashes = [] && t.oracle <> Paxos.Anarchy
    then
@@ -85,4 +86,4 @@ let shrink (cfg : cfg) ~still_fails (t : trial) =
     ~still_fails:(fun plan -> still_fails { t with plan })
     t.plan
 
-let trace (o : outcome) = o.Paxos.trace
+let trace (o : outcome) = o.Paxos.run.trace

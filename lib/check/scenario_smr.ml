@@ -49,9 +49,7 @@ let execute ?arena:_ (cfg : cfg) (t : trial) =
    full commitment needs a fair schedule and no crashes (recovery after
    a leader crash can outlast any fixed sweep budget). *)
 let monitors (cfg : cfg) (t : trial) =
-  Fault_plan.resilience cfg.plan
-    ~blocked:(fun (o : outcome) -> o.Log.mem_blocked)
-    ~crashed:(fun (o : outcome) -> o.Log.crashed)
+  Fault_plan.resilience cfg.plan (fun (o : outcome) -> o.Log.run)
   @ ("smr-consistent", Monitor.smr_consistent)
   :: ("smr-prefix", Monitor.smr_prefix)
   ::
@@ -75,4 +73,4 @@ let shrink (cfg : cfg) ~still_fails (t : trial) =
     ~still_fails:(fun plan -> still_fails { t with plan })
     t.plan
 
-let trace (o : outcome) = o.Log.trace
+let trace (o : outcome) = o.Log.run.trace

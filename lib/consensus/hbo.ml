@@ -5,7 +5,6 @@ module Network = Mm_net.Network
 module Mem = Mm_mem.Mem
 module Engine = Mm_sim.Engine
 module Proc = Mm_sim.Proc
-module Sched = Mm_sim.Sched
 
 type impl =
   | Registers
@@ -26,18 +25,11 @@ type Mm_net.Message.payload +=
     }
 
 type outcome = {
-  reason : Engine.stop_reason;
   decisions : int option array;
   decide_step : int option array;
   decide_round : int option array;
-  crashed : bool array;
-  total_steps : int;
-  net : Network.stats;
-  mem_total : Mem.counters;
-  mem_blocked : int;
   registers : int;
-  coin_flips : int;
-  trace : Mm_sim.Trace.event list;
+  run : Engine.summary;
 }
 
 (* A consensus-object factory: [propose host round v] runs the object
@@ -241,12 +233,7 @@ let run ?(seed = 1) ?(impl = Registers) ?(max_steps = 2_000_000)
   let decisions = Array.make n None in
   let decide_step = Array.make n None in
   let decide_round = Array.make n None in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
+  let crashed = Engine.crash_plan eng crashes in
   (* Termination is checked between every engine step, so it must be
      O(1): count the processes whose decision the run waits for (those
      never scheduled to crash) and decrement as each decides.  A process
@@ -269,44 +256,14 @@ let run ?(seed = 1) ?(impl = Registers) ?(max_steps = 2_000_000)
     (Id.all n);
   (match prepare with None -> () | Some f -> f eng);
   let all_decided () = !undecided = 0 in
-  let reason = Engine.run eng ~max_steps ~until:all_decided () in
+  ignore (Engine.run eng ~max_steps ~until:all_decided ());
   {
-    reason;
     decisions;
     decide_step;
     decide_round;
-    crashed;
-    total_steps = Engine.now eng;
-    net = Network.stats (Engine.network eng);
-    mem_total = Mem.total_counters store;
-    mem_blocked = Mem.blocked_ops store;
     registers = Mem.reg_count store;
-    coin_flips = Engine.coin_flips eng;
-    trace =
-      (match Engine.trace eng with
-      | None -> []
-      | Some tr -> Mm_sim.Trace.to_list tr);
+    run = Engine.summary eng;
   }
-
-let agreement o =
-  let vals =
-    Array.to_list o.decisions |> List.filter_map Fun.id |> List.sort_uniq compare
-  in
-  List.length vals <= 1
-
-let validity ~inputs o =
-  Array.for_all
-    (function
-      | None -> true
-      | Some v -> Array.exists (Int.equal v) inputs)
-    o.decisions
-
-let all_correct_decided o =
-  let ok = ref true in
-  Array.iteri
-    (fun i d -> if (not o.crashed.(i)) && d = None then ok := false)
-    o.decisions;
-  !ok
 
 let max_round o =
   Array.fold_left

@@ -36,19 +36,11 @@ type impl =
   | Direct
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
   decisions : int option array;     (** per process; [None] = undecided *)
   decide_step : int option array;   (** global step of each decision *)
   decide_round : int option array;  (** Ben-Or round of each decision *)
-  crashed : bool array;             (** which processes were crashed *)
-  total_steps : int;
-  net : Mm_net.Network.stats;
-  mem_total : Mm_mem.Mem.counters;
-  mem_blocked : int;  (** emulated register ops refused for lack of quorum *)
   registers : int;                  (** registers allocated *)
-  coin_flips : int;
-  trace : Mm_sim.Trace.event list;
-      (** trailing engine trace (empty unless [trace_capacity] > 0) *)
+  run : Mm_sim.Engine.summary;      (** steps, costs, crashes, trace *)
 }
 
 (** [run ~graph ~inputs ()] simulates HBO on shared-memory graph [graph]
@@ -64,11 +56,12 @@ type outcome = {
       seeded random scheduler, reliable links, uniform 1–4 delay).
     - [max_steps] bounds the run (default 2_000_000).
     - [trace_capacity], when positive, records the last that-many engine
-      events into [outcome.trace] (for {!Mm_check} counterexamples).
+      events into [outcome.run.trace] (for {!Mm_check} counterexamples).
 
     The run stops as soon as every non-crashing process has decided, or
     at [max_steps] (undecided processes then show [None] — how the
-    impossibility experiments observe non-termination). *)
+    impossibility experiments observe non-termination).  {!Decisions}
+    checks agreement, validity and termination on [decisions]. *)
 val run :
   ?seed:int ->
   ?impl:impl ->
@@ -85,15 +78,6 @@ val run :
   inputs:int array ->
   unit ->
   outcome
-
-(** Uniform Agreement: no two processes decided differently. *)
-val agreement : outcome -> bool
-
-(** Validity: every decision was some process's input. *)
-val validity : inputs:int array -> outcome -> bool
-
-(** Termination: every process that never crashed decided. *)
-val all_correct_decided : outcome -> bool
 
 (** Largest decision round among deciders, 0 when nobody decided. *)
 val max_round : outcome -> int

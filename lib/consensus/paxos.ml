@@ -22,22 +22,21 @@ type block = {
 let empty_block = { mbal = 0; bal = 0; value = None }
 
 type outcome = {
-  reason : Engine.stop_reason;
   decisions : int option array;
   decide_step : int option array;
   max_ballot : int;
-  crashed : bool array;
-  total_steps : int;
-  net : Network.stats;
-  mem_total : Mem.counters;
-  mem_blocked : int;
-  trace : Mm_sim.Trace.event list;
+  run : Engine.summary;
 }
 
 let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
     ?(trace_capacity = 0) ?(crashes = []) ?prepare ?sched ?backend ~n
     ~inputs () =
   if Array.length inputs <> n then invalid_arg "Paxos.run: |inputs| <> n";
+  (match oracle with
+  | Static l when l < 0 || l >= n ->
+    invalid_arg
+      (Printf.sprintf "Paxos.run: static leader %d outside [0, %d)" l n)
+  | Static _ | Heartbeat | Anarchy -> ());
   let eng =
     Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
@@ -59,13 +58,8 @@ let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
   let alive = Mm_election.Register_fd.registers store ~n in
   let decisions = Array.make n None in
   let decide_step = Array.make n None in
-  let crashed = Array.make n false in
+  let crashed = Engine.crash_plan eng crashes in
   let max_ballot = ref 0 in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
   let paxos_process ?(recovering = false) p () =
     let pi = Id.to_int p in
     let det = Mm_election.Register_fd.create alive ~me:pi in
@@ -179,46 +173,6 @@ let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
         (paxos_process p))
     (Id.all n);
   (match prepare with None -> () | Some f -> f eng);
-  let all_decided () =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if (not crashed.(i)) && decisions.(i) = None then ok := false
-    done;
-    !ok
-  in
-  let reason = Engine.run eng ~max_steps ~until:all_decided () in
-  {
-    reason;
-    decisions;
-    decide_step;
-    max_ballot = !max_ballot;
-    crashed;
-    total_steps = Engine.now eng;
-    net = Network.stats (Engine.network eng);
-    mem_total = Mem.total_counters store;
-    mem_blocked = Mem.blocked_ops store;
-    trace =
-      (match Engine.trace eng with
-      | None -> []
-      | Some tr -> Mm_sim.Trace.to_list tr);
-  }
-
-let agreement o =
-  let vals =
-    Array.to_list o.decisions |> List.filter_map Fun.id |> List.sort_uniq compare
-  in
-  List.length vals <= 1
-
-let validity ~inputs o =
-  Array.for_all
-    (function
-      | None -> true
-      | Some v -> Array.exists (Int.equal v) inputs)
-    o.decisions
-
-let all_correct_decided o =
-  let ok = ref true in
-  Array.iteri
-    (fun i d -> if (not o.crashed.(i)) && d = None then ok := false)
-    o.decisions;
-  !ok
+  let all_decided () = Decisions.all_correct_decided ~crashed decisions in
+  ignore (Engine.run eng ~max_steps ~until:all_decided ());
+  { decisions; decide_step; max_ballot = !max_ballot; run = Engine.summary eng }

@@ -44,21 +44,17 @@ type oracle =
   | Anarchy
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
-  decisions : int option array;
+  decisions : int option array;  (** per process; [None] = undecided *)
   decide_step : int option array;
-  max_ballot : int;            (** highest ballot any proposer used *)
-  crashed : bool array;
-  total_steps : int;
-  net : Mm_net.Network.stats;
-  mem_total : Mm_mem.Mem.counters;
-  mem_blocked : int;
-      (** emulated register ops refused for lack of quorum (0 under the
-          native backend) *)
-  trace : Mm_sim.Trace.event list;
-      (** trailing engine trace (empty unless [trace_capacity] > 0) *)
+  max_ballot : int;              (** highest ballot any proposer used *)
+  run : Mm_sim.Engine.summary;   (** steps, costs, crashes, trace *)
 }
 
+(** [run ~n ~inputs ()] runs single-decree Paxos until every process
+    that never crashes has decided, or [max_steps] (default 2_000_000).
+    {!Decisions} checks the outcome.  Raises [Invalid_argument] when
+    [|inputs| <> n] or a [Static] leader is outside [\[0, n)] (nobody
+    would ever propose). *)
 val run :
   ?seed:int ->
   ?oracle:oracle ->
@@ -72,7 +68,3 @@ val run :
   inputs:int array ->
   unit ->
   outcome
-
-val agreement : outcome -> bool
-val validity : inputs:int array -> outcome -> bool
-val all_correct_decided : outcome -> bool

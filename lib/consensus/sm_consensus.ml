@@ -1,16 +1,11 @@
 module Id = Mm_core.Id
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
-module Mem = Mm_mem.Mem
 module Engine = Mm_sim.Engine
 
 type outcome = {
-  reason : Engine.stop_reason;
   decisions : int option array;
-  crashed : bool array;
-  total_steps : int;
-  mem_total : Mem.counters;
-  messages_sent : int;
+  run : Engine.summary;
 }
 
 let run ?(seed = 1) ?(max_steps = 2_000_000) ?(crashes = []) ?sched ~n
@@ -26,12 +21,7 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(crashes = []) ?sched ~n
       ~participants:(Id.all n)
   in
   let decisions = Array.make n None in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
+  let crashed = Engine.crash_plan eng crashes in
   List.iter
     (fun p ->
       let pi = Id.to_int p in
@@ -39,32 +29,6 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(crashes = []) ?sched ~n
           let v = Rand_consensus.propose obj inputs.(pi) in
           decisions.(pi) <- Some v))
     (Id.all n);
-  let all_decided () =
-    let ok = ref true in
-    for i = 0 to n - 1 do
-      if (not crashed.(i)) && decisions.(i) = None then ok := false
-    done;
-    !ok
-  in
-  let reason = Engine.run eng ~max_steps ~until:all_decided () in
-  {
-    reason;
-    decisions;
-    crashed;
-    total_steps = Engine.now eng;
-    mem_total = Mem.total_counters store;
-    messages_sent = (Network.stats (Engine.network eng)).Network.sent;
-  }
-
-let agreement o =
-  let vals =
-    Array.to_list o.decisions |> List.filter_map Fun.id |> List.sort_uniq compare
-  in
-  List.length vals <= 1
-
-let all_correct_decided o =
-  let ok = ref true in
-  Array.iteri
-    (fun i d -> if (not o.crashed.(i)) && d = None then ok := false)
-    o.decisions;
-  !ok
+  let all_decided () = Decisions.all_correct_decided ~crashed decisions in
+  ignore (Engine.run eng ~max_steps ~until:all_decided ());
+  { decisions; run = Engine.summary eng }

@@ -7,12 +7,8 @@
     are ever sent, and any lone survivor still decides. *)
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
-  decisions : int option array;
-  crashed : bool array;
-  total_steps : int;
-  mem_total : Mm_mem.Mem.counters;
-  messages_sent : int;  (** always 0 — checked by tests *)
+  decisions : int option array;  (** checked by {!Decisions} *)
+  run : Mm_sim.Engine.summary;   (** [run.net.sent] is always 0 *)
 }
 
 val run :
@@ -24,6 +20,3 @@ val run :
   inputs:int array ->
   unit ->
   outcome
-
-val agreement : outcome -> bool
-val all_correct_decided : outcome -> bool

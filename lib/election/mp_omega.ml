@@ -7,18 +7,6 @@ module Sched = Mm_sim.Sched
 
 type Mm_net.Message.payload += Heartbeat
 
-type outcome = {
-  reason : Engine.stop_reason;
-  final_leaders : int option array;
-  agreed_leader : int option;
-  last_change_step : int;
-  total_changes : int;
-  window_net : Network.stats;
-  crashed : bool array;
-  steps : int;
-  window_start : int;
-}
-
 let mp_process ~n ~hb_period ~timeout ~adaptive ~report me () =
   let mi = Id.to_int me in
   let last_heard = Array.make n 0 in
@@ -75,51 +63,12 @@ let run ?(seed = 1) ?(hb_period = 8) ?(timeout = 64) ?(adaptive = false)
     Engine.create ~seed ~sched ?delay ~domain:(Domain_.isolated n)
       ~link:Network.Reliable ~n ()
   in
-  let final_leaders = Array.make n None in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
-  let last_change = ref 0 in
-  let total_changes = ref 0 in
+  let crashed = Engine.crash_plan eng crashes in
+  let report, measure = Omega.leader_log eng ~crashed in
   List.iter
     (fun p ->
-      let pi = Id.to_int p in
-      let report l =
-        final_leaders.(pi) <- Some l;
-        if not crashed.(pi) then begin
-          last_change := Engine.now eng;
-          incr total_changes
-        end
-      in
-      Engine.spawn eng p
-        (mp_process ~n ~hb_period ~timeout ~adaptive ~report p))
+      let report = report (Id.to_int p) in
+      Engine.spawn eng p (mp_process ~n ~hb_period ~timeout ~adaptive ~report p))
     (Id.all n);
   ignore (Engine.run eng ~max_steps:warmup ());
-  let net_snap = Network.snapshot (Engine.network eng) in
-  let reason = Engine.run eng ~max_steps:window () in
-  {
-    reason;
-    final_leaders;
-    agreed_leader =
-      (let vals = ref [] in
-       Array.iteri
-         (fun i l -> if not crashed.(i) then vals := l :: !vals)
-         final_leaders;
-       match List.sort_uniq compare !vals with
-       | [ Some l ] -> Some l
-       | _ -> None);
-    last_change_step = !last_change;
-    total_changes = !total_changes;
-    window_net = Network.diff_since (Engine.network eng) net_snap;
-    crashed;
-    steps = Engine.now eng;
-    window_start = warmup;
-  }
-
-let holds o =
-  match o.agreed_leader with
-  | None -> false
-  | Some l -> (not o.crashed.(l)) && o.last_change_step <= o.window_start
+  measure ~window_start:warmup ~window

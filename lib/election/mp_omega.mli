@@ -10,19 +10,10 @@
     never under delays that keep growing — see experiment E8).
 
     Also unlike the m&m algorithms, the steady state is never silent:
-    heartbeats flow forever. *)
+    heartbeats flow forever.
 
-type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
-  final_leaders : int option array;
-  agreed_leader : int option;
-  last_change_step : int;
-  total_changes : int;
-  window_net : Mm_net.Network.stats;
-  crashed : bool array;
-  steps : int;
-  window_start : int;
-}
+    The outcome is {!Omega.outcome}, judged by the same {!Omega.holds};
+    it touches no register, so its [window_mem] is all zero. *)
 
 val run :
   ?seed:int ->
@@ -36,7 +27,4 @@ val run :
   ?delay:Mm_net.Network.delay ->
   n:int ->
   unit ->
-  outcome
-
-(** Same observed-Ω criterion as {!Omega.holds}. *)
-val holds : outcome -> bool
+  Omega.outcome

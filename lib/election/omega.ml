@@ -22,7 +22,6 @@ type state = {
 let initial_state = { hb = 0; counter = 0; active = false }
 
 type outcome = {
-  reason : Engine.stop_reason;
   final_leaders : int option array;
   agreed_leader : int option;
   last_change_step : int;
@@ -30,12 +29,55 @@ type outcome = {
   window_net : Network.stats;
   window_mem : Mem.counters array;
   window_emu_msgs : int;
-  mem_blocked : int;
-  crashed : bool array;
-  steps : int;
   window_start : int;
-  trace : Mm_sim.Trace.event list;
+  run : Engine.summary;
 }
+
+(* The common leader output of the processes that never crash, if they
+   all agree on one. *)
+let agreed_leader ~crashed final_leaders =
+  let vals = ref [] in
+  Array.iteri
+    (fun i l -> if not crashed.(i) then vals := l :: !vals)
+    final_leaders;
+  match List.sort_uniq compare !vals with [ Some l ] -> Some l | _ -> None
+
+(* Ω as observed: a common correct leader, already stable when the
+   steady-state window opened. *)
+let holds o =
+  match o.agreed_leader with
+  | None -> false
+  | Some l -> (not o.run.crashed.(l)) && o.last_change_step <= o.window_start
+
+let leader_log eng ~crashed =
+  let final_leaders = Array.make (Engine.n eng) None in
+  let last_change = ref 0 and total_changes = ref 0 in
+  let report pi l =
+    final_leaders.(pi) <- Some l;
+    if not crashed.(pi) then begin
+      last_change := Engine.now eng;
+      incr total_changes
+    end
+  in
+  let measure ~window_start ~window =
+    let net = Engine.network eng and store = Engine.store eng in
+    let net_snap = Network.snapshot net in
+    let mem_snap = Mem.snapshot store in
+    let emu_snap = Mem.emulated_msgs store in
+    ignore (Engine.run eng ~max_steps:window ());
+    {
+      final_leaders;
+      agreed_leader = agreed_leader ~crashed final_leaders;
+      last_change_step = !last_change;
+      total_changes = !total_changes;
+      window_net = Network.diff_since net net_snap;
+      window_mem = Mem.diff_since store mem_snap;
+      window_emu_msgs = Mem.emulated_msgs store - emu_snap;
+      window_start;
+      run = Engine.summary eng;
+    }
+  in
+  (report, measure)
 
 (* Figure 3, one process.  [report] tells the harness about leadership
    output changes (host-level, not a simulation step). *)
@@ -159,26 +201,13 @@ let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
           ~name:(Printf.sprintf "STATE[%d]" p)
           ~owner ~shared_with:others initial_state)
   in
-  let final_leaders = Array.make n None in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
-  let last_change = ref 0 in
-  let total_changes = ref 0 in
+  let crashed = Engine.crash_plan eng crashes in
+  let report, measure = leader_log eng ~crashed in
   List.iter
     (fun p ->
       let pi = Id.to_int p in
       let mech = mech_of store ~me:p in
-      let report l =
-        final_leaders.(pi) <- Some l;
-        if not crashed.(pi) then begin
-          last_change := Engine.now eng;
-          incr total_changes
-        end
-      in
+      let report = report pi in
       (* Crash-recovery (host reboot): every volatile structure —
          contender set, heartbeat timers, the mechanism's notification
          state — is rebuilt from scratch; the crash-surviving STATE
@@ -210,39 +239,4 @@ let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
     failures;
   let remaining = warmup - Engine.now eng in
   if remaining > 0 then ignore (Engine.run eng ~max_steps:remaining ());
-  let net_snap = Network.snapshot (Engine.network eng) in
-  let mem_snap = Mem.snapshot store in
-  let emu_snap = Mem.emulated_msgs store in
-  let reason = Engine.run eng ~max_steps:window () in
-  {
-    reason;
-    final_leaders;
-    agreed_leader =
-      (let vals = ref [] in
-       Array.iteri
-         (fun i l -> if not crashed.(i) then vals := l :: !vals)
-         final_leaders;
-       match List.sort_uniq compare !vals with
-       | [ Some l ] -> Some l
-       | _ -> None);
-    last_change_step = !last_change;
-    total_changes = !total_changes;
-    window_net = Network.diff_since (Engine.network eng) net_snap;
-    window_mem = Mem.diff_since store mem_snap;
-    window_emu_msgs = Mem.emulated_msgs store - emu_snap;
-    mem_blocked = Mem.blocked_ops store;
-    crashed;
-    steps = Engine.now eng;
-    window_start = warmup;
-    trace =
-      (match Engine.trace eng with
-      | None -> []
-      | Some tr -> Mm_sim.Trace.to_list tr);
-  }
-
-(* Ω as observed: a common correct leader, already stable when the
-   steady-state window opened. *)
-let holds o =
-  match o.agreed_leader with
-  | None -> false
-  | Some l -> (not o.crashed.(l)) && o.last_change_step <= o.window_start
+  measure ~window_start:warmup ~window

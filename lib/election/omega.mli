@@ -20,7 +20,6 @@ type variant =
   | Fair_lossy of float (** Figure 5 mechanism; links drop with this prob. *)
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
   final_leaders : int option array;
       (** each process's leader output at the end ([None] = ⊥) *)
   agreed_leader : int option;
@@ -36,13 +35,10 @@ type outcome = {
   window_emu_msgs : int;
       (** messages the emulated register backend charged inside the
           window (0 under the native backend) *)
-  mem_blocked : int;
-      (** emulated register ops refused for lack of quorum, whole run *)
-  crashed : bool array;
-  steps : int;
   window_start : int;  (** global step at which the window opened *)
-  trace : Mm_sim.Trace.event list;
-      (** trailing engine trace (empty unless [trace_capacity] > 0) *)
+  run : Mm_sim.Engine.summary;
+      (** whole-run steps, costs, crashes and trace ([reason] is the
+          window's) *)
 }
 
 (** [run ~variant ~n ()] simulates the algorithm.
@@ -82,5 +78,15 @@ val run :
 
 (** [holds o] — the Ω property as observed: all correct processes ended
     agreeing on one correct leader and no change happened inside the
-    measurement window. *)
+    measurement window.  {!Mp_omega} outcomes are judged the same way. *)
 val holds : outcome -> bool
+
+(** [leader_log eng ~crashed] is the measurement harness both Ω
+    implementations share.  [report pid l] records that [pid]'s leader
+    output changed to [l] (a change at a process in [crashed] is not
+    counted); [measure ~window_start ~window] runs the steady-state
+    window of [window] steps and builds the outcome. *)
+val leader_log :
+  Mm_sim.Engine.t ->
+  crashed:bool array ->
+  (int -> int -> unit) * (window_start:int -> window:int -> outcome)

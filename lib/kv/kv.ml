@@ -24,7 +24,6 @@ let latency r =
   else Some (r.completion - r.req.W.arrival)
 
 type outcome = {
-  reason : Engine.stop_reason;
   spec : W.spec;
   shards : int;
   replicas : int;
@@ -38,12 +37,11 @@ type outcome = {
   logs : (int * int) list array;
   consistent : bool;
   duplicate_applies : int;
-  crashed : bool array;
+  run : Engine.summary;
   total_steps : int;
   net : Network.stats;
   mem_total : Mem.counters;
   mem_blocked : int;
-  trace : Mm_sim.Trace.event list;
 }
 
 (* One shard replica.  [slots]/[alive] are the shard's register groups,
@@ -136,24 +134,9 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
         else progress := false
     done
   in
-  (* §5.3 leader catch-up: read decision registers until one comes back
-     undecided.  On return the leader's state reflects every decision in
-     existence as of that last read — the linearization instant for the
-     local reads served right after. *)
-  let catch_up () =
-    let progress = ref true in
-    while !progress do
-      let s = !apply_next in
-      match Hashtbl.find_opt learn_cache s with
-      | Some id -> apply s id
-      | None -> (
-        match Log.Slots.read_decided slots s with
-        | Some id -> apply s id
-        | None -> progress := false)
-    done
-  in
   (* Answer every pending local read from the applied state, host-side
-     (zero engine steps), in the same step as catch_up's None read. *)
+     (zero engine steps), in the same step as the catch-up's None
+     read. *)
   let serve_gets () =
     let len = Queue.length my_gets in
     for _ = 1 to len do
@@ -239,8 +222,13 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
     drain ~read_register:(iter mod 32 = 0);
     pull_arrivals ();
     (if Fd.am_leader det then begin
+       (* §5.3 leader catch-up: read decision registers until one comes
+          back undecided.  The leader's state then reflects every
+          decision in existence as of that last read — the
+          linearization instant for the local reads served right
+          after. *)
        if local_reads then begin
-         catch_up ();
+         drain ~read_register:true;
          serve_gets ()
        end;
        match next_put () with
@@ -332,12 +320,7 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
   let ingress =
     Array.map (Array.map (fun l -> Array.of_list (List.rev l))) ingress_rev
   in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
+  let crashed = Engine.crash_plan eng crashes in
   let logs = Array.make n [] in
   let completed = ref 0 in
   (* [accounted] closes the open-loop: each request is counted exactly
@@ -464,7 +447,7 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
        per-step cost of the stop predicate stays O(1) until the tail. *)
     !accounted >= !target && quiesced ()
   in
-  let reason = Engine.run eng ~max_steps ~until:everyone_done () in
+  ignore (Engine.run eng ~max_steps ~until:everyone_done ());
   (* Close the books: deadlines that elapsed by the end of the run count
      as timeouts even if the run stopped for another reason. *)
   check_expiry (Engine.now eng);
@@ -482,8 +465,8 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
         logs.((s * replicas) + r)
     done
   done;
+  let run = Engine.summary eng in
   {
-    reason;
     spec = workload.W.spec;
     shards;
     replicas;
@@ -497,15 +480,11 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
     logs;
     consistent = !consistent;
     duplicate_applies = !duplicate_applies;
-    crashed;
-    total_steps = Engine.now eng;
-    net = Network.stats (Engine.network eng);
-    mem_total = Mem.total_counters store;
-    mem_blocked = Mem.blocked_ops store;
-    trace =
-      (match Engine.trace eng with
-      | None -> []
-      | Some tr -> Mm_sim.Trace.to_list tr);
+    run;
+    total_steps = run.steps;
+    net = run.net;
+    mem_total = run.mem;
+    mem_blocked = run.blocked;
   }
 
 let window_hist o ?shard ?(op = `All) ~from ~until () =
@@ -538,5 +517,5 @@ let shard_throughput o ~shard =
         else acc)
       0 o.ops
   in
-  if o.total_steps = 0 then 0.0
-  else float_of_int done_in_shard /. (float_of_int o.total_steps /. 1000.0)
+  if o.run.steps = 0 then 0.0
+  else float_of_int done_in_shard /. (float_of_int o.run.steps /. 1000.0)

@@ -50,7 +50,6 @@ type op_record = {
 val latency : op_record -> int option
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
   spec : W.spec;
   shards : int;
   replicas : int;
@@ -69,14 +68,14 @@ type outcome = {
   consistent : bool;
       (** within every shard, no slot maps to two different requests *)
   duplicate_applies : int;
-  crashed : bool array;
-  total_steps : int;
-  net : Mm_net.Network.stats;
-  mem_total : Mm_mem.Mem.counters;
+  run : Mm_sim.Engine.summary;  (** steps, costs, crashes, trace *)
+  total_steps : int;  (** = [run.steps] *)
+  net : Mm_net.Network.stats;  (** = [run.net] *)
+  mem_total : Mm_mem.Mem.counters;  (** = [run.mem] *)
   mem_blocked : int;
-      (** emulated register ops refused for lack of quorum (0 under the
-          native backend) *)
-  trace : Mm_sim.Trace.event list;
+      (** = [run.blocked].  These four mirrors of [run] are kept only for
+          the benchmark program in [perfbench/], which reads them; read
+          [run] everywhere else. *)
 }
 
 (** [run ~shards ~replicas ~workload ()] drives the workload to

@@ -96,6 +96,7 @@ type t = {
   procs : proc array;
   crash_step : int option array;
   restart_step : int option array;
+  victims : bool array;  (* the crash plan's pids, see [crash_plan] *)
   (* Frozen processes are slow, not dead: they take no steps while the
      flag is set but keep their fiber and message queues, so they resume
      exactly where they stopped on thaw. *)
@@ -106,6 +107,7 @@ type t = {
   tr : Trace.t option;
   view : Sched.view;  (* reused every step; see Sched.view *)
   mutable step : int;
+  mutable stop : stop_reason;  (* why the last [run] returned *)
   mutable coins : int;
   mutable sched_log : int list option;  (* reversed; None = not recording *)
   crash_heap : Minheap.t;
@@ -216,6 +218,7 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
       procs;
       crash_step = Array.make n None;
       restart_step = Array.make n None;
+      victims = Array.make n false;
       frozen = Array.make n false;
       actions = [];
       tr = (if trace_capacity > 0 then Some (Trace.create trace_capacity) else None);
@@ -228,6 +231,7 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
           steps = (fun i -> procs.(i).steps);
         };
       step = 0;
+      stop = Step_limit;
       coins = 0;
       sched_log = None;
       crash_heap = Minheap.create ();
@@ -251,7 +255,6 @@ let network t = t.net
 let domain t = t.dom
 let now t = t.step
 let steps_of t p = t.procs.(Id.to_int p).steps
-let coin_flips t = t.coins
 let trace t = t.tr
 let derive_rng t = Rng.split t.seed_rng
 
@@ -455,6 +458,27 @@ let crash_at t pid step =
   t.crash_step.(i) <- Some step
 
 let crash_now t pid = crash_at t pid t.step
+
+(* Validate the whole plan before scheduling any of it, so a bad entry
+   leaves no half-installed plan behind. *)
+let crash_plan t plan =
+  List.iter
+    (fun (pid, step) ->
+      if pid < 0 || pid >= t.n_procs then
+        invalid_arg
+          (Printf.sprintf "Engine.crash_plan: pid %d outside [0, %d)" pid
+             t.n_procs);
+      if step < 0 then
+        invalid_arg
+          (Printf.sprintf "Engine.crash_plan: negative step %d for pid %d" step
+             pid))
+    plan;
+  List.iter
+    (fun (pid, step) ->
+      t.victims.(pid) <- true;
+      crash_at t (Id.of_int pid) step)
+    plan;
+  t.victims
 
 let has_recovery t pid = t.procs.(Id.to_int pid).recover <> None
 
@@ -669,4 +693,28 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
       tick t
     end
   done;
-  Option.get !reason
+  t.stop <- Option.get !reason;
+  t.stop
+
+type summary = {
+  reason : stop_reason;
+  steps : int;
+  net : Network.stats;
+  mem : Mem.counters;
+  blocked : int;
+  coin_flips : int;
+  crashed : bool array;
+  trace : Trace.event list;
+}
+
+let summary t =
+  {
+    reason = t.stop;
+    steps = t.step;
+    net = Network.stats t.net;
+    mem = Mem.total_counters t.mem;
+    blocked = Mem.blocked_ops t.mem;
+    coin_flips = t.coins;
+    crashed = t.victims;
+    trace = (match t.tr with None -> [] | Some tr -> Trace.to_list tr);
+  }

@@ -82,6 +82,15 @@ val crash_at : t -> Mm_core.Id.t -> int -> unit
 (** Crash immediately (at the current step). *)
 val crash_now : t -> Mm_core.Id.t -> unit
 
+(** [crash_plan t plan] schedules every [(pid, step)] crash of [plan]
+    ({!crash_at}) and returns the victim flags: [crashed.(pid)] is true
+    iff [plan] names [pid].  An algorithm's [until] predicate reads these
+    flags to wait only for processes that never crash; the same array is
+    {!summary}'s [crashed].  Raises [Invalid_argument] naming the entry,
+    before scheduling anything, on a pid outside [\[0, n)] or a negative
+    step. *)
+val crash_plan : t -> (int * int) list -> bool array
+
 (** {2 Crash-recovery}
 
     A restart revives a crashed process: at the scheduled step its
@@ -160,14 +169,37 @@ val fold_correct : t -> ('a -> Mm_core.Id.t -> 'a) -> 'a -> 'a
     elapse.  [run] may be called repeatedly to continue a paused run. *)
 val run : t -> ?max_steps:int -> ?until:(unit -> bool) -> unit -> stop_reason
 
+(** {2 The run record}
+
+    The costs the paper's claims are about — steps, messages, register
+    ops (§5.3) — plus the run's crash plan and trace, reported once by
+    the engine.  Every algorithm's outcome embeds one as its [run]
+    field instead of re-declaring the counters. *)
+type summary = {
+  reason : stop_reason;  (** why the last {!run} returned ([Step_limit]
+                             before the first) *)
+  steps : int;  (** global steps executed *)
+  net : Mm_net.Network.stats;
+      (** message traffic, emulated-register quorum rounds included *)
+  mem : Mm_mem.Mem.counters;  (** register ops, summed over processes *)
+  blocked : int;
+      (** emulated register ops refused for lack of quorum (0 under the
+          native backend) *)
+  coin_flips : int;  (** across [Coin] and [Rand_int] *)
+  crashed : bool array;  (** the {!crash_plan} victims *)
+  trace : Trace.event list;
+      (** trailing engine trace (empty unless [trace_capacity] > 0) *)
+}
+
+(** The record of the run so far.  O(n + trace), so call it once, after
+    the last {!run}. *)
+val summary : t -> summary
+
 (** Global step counter. *)
 val now : t -> int
 
 (** Steps executed by one process. *)
 val steps_of : t -> Mm_core.Id.t -> int
-
-(** Total coin flips performed (across [Coin] and [Rand_int]). *)
-val coin_flips : t -> int
 
 val trace : t -> Trace.t option
 

@@ -156,18 +156,12 @@ end
 let leader_hint = Fd.leader
 
 type outcome = {
-  reason : Engine.stop_reason;
   logs : (int * command) list array;
   consistent : bool;
   all_committed : bool;
   slots_used : int;
   duplicate_slots : int;
-  crashed : bool array;
-  total_steps : int;
-  net : Network.stats;
-  mem_total : Mem.counters;
-  mem_blocked : int;
-  trace : Mm_sim.Trace.event list;
+  run : Engine.summary;
 }
 
 let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me () =
@@ -302,12 +296,7 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
     Slots.create store ~pids:(Array.init n Id.of_int) ~prefix:""
   in
   let alive = Fd.registers store ~n in
-  let crashed = Array.make n false in
-  List.iter
-    (fun (pid, step) ->
-      crashed.(pid) <- true;
-      Engine.crash_at eng (Id.of_int pid) step)
-    crashes;
+  let crashed = Engine.crash_plan eng crashes in
   let logs = Array.make n [] in
   (* [until] runs on every engine step, so completion tracking must be
      O(n): count, per process, how many of the commands we are waiting
@@ -353,7 +342,7 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
     done;
     !ok
   in
-  let reason = Engine.run eng ~max_steps ~until:everyone_done () in
+  ignore (Engine.run eng ~max_steps ~until:everyone_done ());
   let logs = Array.map List.rev logs in
   (* Consistency: no slot maps to two different commands anywhere. *)
   let slot_values : (int, command) Hashtbl.t = Hashtbl.create 64 in
@@ -368,19 +357,10 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
     Hashtbl.fold (fun s _ acc -> max acc (s + 1)) slot_values 0
   in
   {
-    reason;
     logs;
     consistent = !consistent;
     all_committed = everyone_done ();
     slots_used;
     duplicate_slots = !duplicate_slots;
-    crashed;
-    total_steps = Engine.now eng;
-    net = Network.stats (Engine.network eng);
-    mem_total = Mem.total_counters store;
-    mem_blocked = Mem.blocked_ops store;
-    trace =
-      (match Engine.trace eng with
-      | None -> []
-      | Some tr -> Mm_sim.Trace.to_list tr);
+    run = Engine.summary eng;
   }

@@ -86,7 +86,6 @@ end
 val leader_hint : Mm_election.Register_fd.t -> int
 
 type outcome = {
-  reason : Mm_sim.Engine.stop_reason;
   logs : (int * command) list array;
       (** per process: the (slot, command) pairs it applied, in slot order *)
   consistent : bool;  (** no cross-process disagreement at any slot *)
@@ -96,15 +95,7 @@ type outcome = {
   duplicate_slots : int;
       (** slots that re-decided an already-applied command (consumed by
           at-least-once forwarding; deduplicated at apply time) *)
-  crashed : bool array;
-  total_steps : int;
-  net : Mm_net.Network.stats;
-  mem_total : Mm_mem.Mem.counters;
-  mem_blocked : int;
-      (** emulated register ops refused for lack of quorum (0 under the
-          native backend) *)
-  trace : Mm_sim.Trace.event list;
-      (** trailing engine trace (empty unless [trace_capacity] > 0) *)
+  run : Mm_sim.Engine.summary;  (** steps, costs, crashes, trace *)
 }
 
 val run :

@@ -76,6 +76,10 @@ let bad =
     ([], [ "kv"; "--max-steps"; "0" ]);
     ([], [ "kv"; "--max-steps=-3" ]);
     ([], [ "check"; "hbo"; "--trace=-1" ]);
+    ([], [ "consensus"; "--impl"; "direct" ]);
+    ([], [ "check"; "hbo"; "--impl"; "direct" ]);
+    ([], [ "paxos"; "-n"; "3"; "--oracle"; "static:99" ]);
+    ([], [ "paxos"; "-n"; "3"; "--oracle"; "static:-1" ]);
   ]
 
 let good =
@@ -90,6 +94,11 @@ let good =
     ([], [ "kv"; "--ops"; "0" ]);
     ([], [ "mutex"; "--algo"; "mm"; "--entries"; "1" ]);
     ([], [ "check"; "smr"; "--trace"; "0" ]);
+    ( [],
+      [ "check"; "hbo"; "--impl"; "direct"; "-g"; "edgeless"; "-n"; "4";
+        "--budget"; "1" ] );
+    ([], [ "consensus"; "--impl"; "direct"; "-g"; "edgeless"; "-n"; "4" ]);
+    ([], [ "paxos"; "-n"; "3"; "--oracle"; "static:2" ]);
   ]
 
 let contains s sub =

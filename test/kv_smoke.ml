@@ -45,7 +45,7 @@ let () =
   check "all requests completed" (o.Kv.completed = spec.W.ops);
   check "slot-consistent" o.Kv.consistent;
   Printf.printf "kv: %d clients, %d ops, %d shard(s) x %d replicas, %d steps\n"
-    spec.W.clients spec.W.ops o.Kv.shards o.Kv.replicas o.Kv.total_steps;
+    spec.W.clients spec.W.ops o.Kv.shards o.Kv.replicas o.Kv.run.steps;
   Printf.printf "%-6s %10s %22s %22s\n" "shard" "ops/kstep" "get latency" "put latency";
   for s = 0 to o.Kv.shards - 1 do
     Printf.printf "%-6d %10.1f %22s %22s\n" s

@@ -80,8 +80,8 @@ let () =
     "kv failover: %d/%d completed, %d timeout(s), %d duplicate applies, %d \
      steps\n"
     o.Kv.completed spec.W.ops o.Kv.timeouts o.Kv.duplicate_applies
-    o.Kv.total_steps;
-  check "books closed" (o.Kv.reason = Mm_sim.Engine.Stopped);
+    o.Kv.run.steps;
+  check "books closed" (o.Kv.run.reason = Mm_sim.Engine.Stopped);
   check "slot-consistent across the restart" o.Kv.consistent;
   check "linearizable across the restart"
     (Monitor.is_pass (Monitor.kv_linearizable o));

@@ -94,7 +94,8 @@ let test_majority_crash_blocks () =
       ~scripts ()
   in
   Alcotest.(check bool) "blocked" true (o.Abd.pending > 0);
-  Alcotest.(check bool) "hit step limit" true (o.Abd.reason = Engine.Step_limit)
+  Alcotest.(check bool) "hit step limit" true
+    (o.Abd.run.reason = Engine.Step_limit)
 
 let test_exact_majority_boundary () =
   (* n = 5: two crashes leave 3 = majority (works); at three crashes it

@@ -14,8 +14,16 @@ module Sched = Mm_sim.Sched
 module AC = Mm_consensus.Adopt_commit
 module RC = Mm_consensus.Rand_consensus
 module Hbo = Mm_consensus.Hbo
+module Decisions = Mm_consensus.Decisions
 module Ben_or = Mm_consensus.Ben_or
 module Sm = Mm_consensus.Sm_consensus
+
+(* Every process that never crashed decided. *)
+let decided (o : Hbo.outcome) =
+  Decisions.all_correct_decided ~crashed:o.Hbo.run.crashed o.Hbo.decisions
+
+let sm_decided (o : Sm.outcome) =
+  Decisions.all_correct_decided ~crashed:o.Sm.run.crashed o.Sm.decisions
 
 (* --- adopt-commit --- *)
 
@@ -212,15 +220,15 @@ let test_rc_mid_run_crashes () =
 let test_ben_or_no_crashes () =
   for seed = 0 to 10 do
     let o = Ben_or.run ~seed ~n:6 ~inputs:[| 0; 1; 0; 1; 1; 0 |] () in
-    Alcotest.(check bool) "terminated" true (Hbo.all_correct_decided o);
-    Alcotest.(check bool) "agreement" true (Hbo.agreement o);
+    Alcotest.(check bool) "terminated" true (decided o);
+    Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions);
     Alcotest.(check bool) "validity" true
-      (Hbo.validity ~inputs:[| 0; 1; 0; 1; 1; 0 |] o)
+      (Decisions.validity ~inputs:[| 0; 1; 0; 1; 1; 0 |] o.Hbo.decisions)
   done
 
 let test_ben_or_unanimous_fast () =
   let o = Ben_or.run ~seed:2 ~n:5 ~inputs:[| 1; 1; 1; 1; 1 |] () in
-  Alcotest.(check bool) "all decided" true (Hbo.all_correct_decided o);
+  Alcotest.(check bool) "all decided" true (decided o);
   Array.iter
     (function
       | Some v -> Alcotest.(check int) "decides 1" 1 v
@@ -235,8 +243,8 @@ let test_ben_or_minority_crashes () =
       ~inputs:[| 0; 0; 0; 1; 0; 1; 0 |] ()
   in
   Alcotest.(check bool) "terminates with f=3 < n/2" true
-    (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o)
+    (decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions)
 
 let test_ben_or_majority_crashes_block () =
   (* f = 4 >= n/2 = 3.5: Ben-Or cannot terminate; no safety violation. *)
@@ -245,14 +253,16 @@ let test_ben_or_majority_crashes_block () =
       ~crashes:[ (0, 0); (1, 0); (2, 0); (3, 0) ]
       ~inputs:[| 0; 0; 0; 1; 0; 1; 0 |] ()
   in
-  Alcotest.(check bool) "does not decide" false (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "hits step limit" true (o.Hbo.reason = Engine.Step_limit);
-  Alcotest.(check bool) "no bogus decision" true (Hbo.agreement o)
+  Alcotest.(check bool) "does not decide" false (decided o);
+  Alcotest.(check bool) "hits step limit" true
+    (o.Hbo.run.reason = Engine.Step_limit);
+  Alcotest.(check bool) "no bogus decision" true
+    (Decisions.agreement o.Hbo.decisions)
 
 let test_ben_or_uses_no_shared_memory () =
   let o = Ben_or.run ~seed:1 ~n:4 ~inputs:[| 0; 1; 1; 0 |] () in
   Alcotest.(check int) "no registers" 0 o.Hbo.registers;
-  Alcotest.(check int) "no mem ops" 0 (Mem.total_ops o.Hbo.mem_total)
+  Alcotest.(check int) "no mem ops" 0 (Mem.total_ops o.Hbo.run.mem)
 
 (* --- HBO --- *)
 
@@ -261,18 +271,20 @@ let test_hbo_complete_graph_trusted () =
   let o =
     Hbo.run ~seed:11 ~impl:Hbo.Trusted ~graph:(B.complete 6) ~inputs ()
   in
-  Alcotest.(check bool) "terminates" true (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o);
-  Alcotest.(check bool) "validity" true (Hbo.validity ~inputs o)
+  Alcotest.(check bool) "terminates" true (decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions);
+  Alcotest.(check bool) "validity" true
+    (Decisions.validity ~inputs o.Hbo.decisions)
 
 let test_hbo_register_objects () =
   let inputs = [| 0; 1; 1; 0; 1; 0 |] in
   let o =
     Hbo.run ~seed:12 ~impl:Hbo.Registers ~graph:(B.ring 6) ~inputs ()
   in
-  Alcotest.(check bool) "terminates" true (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o);
-  Alcotest.(check bool) "validity" true (Hbo.validity ~inputs o);
+  Alcotest.(check bool) "terminates" true (decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions);
+  Alcotest.(check bool) "validity" true
+    (Decisions.validity ~inputs o.Hbo.decisions);
   Alcotest.(check bool) "uses registers" true (o.Hbo.registers > 0)
 
 let test_hbo_direct_requires_edgeless () =
@@ -291,9 +303,10 @@ let test_hbo_beats_majority_bound () =
     Hbo.run ~seed:21 ~impl:Hbo.Trusted ~graph:(B.complete 7) ~crashes ~inputs ()
   in
   Alcotest.(check bool) "decides despite f=5 of 7" true
-    (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o);
-  Alcotest.(check bool) "validity" true (Hbo.validity ~inputs o)
+    (decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions);
+  Alcotest.(check bool) "validity" true
+    (Decisions.validity ~inputs o.Hbo.decisions)
 
 let test_hbo_beats_majority_with_registers () =
   let inputs = [| 1; 0; 1; 0; 1 |] in
@@ -303,8 +316,8 @@ let test_hbo_beats_majority_with_registers () =
       ()
   in
   Alcotest.(check bool) "decides despite f=3 of 5" true
-    (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o)
+    (decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions)
 
 let test_hbo_respects_representation_threshold () =
   (* Ring of 6, crash {0, 1, 2, 3}: correct = {4,5}, boundary = {0, 3},
@@ -320,14 +333,14 @@ let test_hbo_respects_representation_threshold () =
       ~crashes:[ (0, 0); (1, 0); (2, 0); (3, 0) ]
       ~inputs ()
   in
-  Alcotest.(check bool) "decides" true (Hbo.all_correct_decided o);
+  Alcotest.(check bool) "decides" true (decided o);
   (* Edgeless with the same crashes: representation = 2 of 6, blocked. *)
   let o2 =
     Ben_or.run ~seed:23 ~n:6 ~max_steps:60_000
       ~crashes:[ (0, 0); (1, 0); (2, 0); (3, 0) ]
       ~inputs ()
   in
-  Alcotest.(check bool) "ben-or blocked" false (Hbo.all_correct_decided o2)
+  Alcotest.(check bool) "ben-or blocked" false (decided o2)
 
 let test_hbo_blocks_without_represented_majority () =
   (* Disjoint pair of triangles, crash one triangle entirely: correct = 3,
@@ -341,8 +354,8 @@ let test_hbo_blocks_without_represented_majority () =
       ~crashes:[ (0, 0); (1, 0); (2, 0) ]
       ~inputs:[| 0; 0; 0; 1; 1; 1 |] ()
   in
-  Alcotest.(check bool) "blocked" false (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "safe" true (Hbo.agreement o)
+  Alcotest.(check bool) "blocked" false (decided o);
+  Alcotest.(check bool) "safe" true (Decisions.agreement o.Hbo.decisions)
 
 let test_hbo_mid_run_crashes_safe () =
   for seed = 0 to 8 do
@@ -355,10 +368,10 @@ let test_hbo_mid_run_crashes_safe () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "agreement seed %d" seed)
-      true (Hbo.agreement o);
+      true (Decisions.agreement o.Hbo.decisions);
     Alcotest.(check bool)
       (Printf.sprintf "validity seed %d" seed)
-      true (Hbo.validity ~inputs o)
+      true (Decisions.validity ~inputs o.Hbo.decisions)
   done
 
 let test_hbo_safe_outside_its_assumptions () =
@@ -373,8 +386,9 @@ let test_hbo_safe_outside_its_assumptions () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "agreement under loss (seed %d)" seed)
-      true (Hbo.agreement o);
-    Alcotest.(check bool) "validity under loss" true (Hbo.validity ~inputs o)
+      true (Decisions.agreement o.Hbo.decisions);
+    Alcotest.(check bool) "validity under loss" true
+      (Decisions.validity ~inputs o.Hbo.decisions)
   done
 
 let test_hbo_registers_adversarial_round_robin () =
@@ -387,8 +401,8 @@ let test_hbo_registers_adversarial_round_robin () =
       ~sched:(Mm_sim.Sched.create Mm_sim.Sched.Round_robin)
       ~graph:(B.ring 6) ~inputs ()
   in
-  Alcotest.(check bool) "decides" true (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o)
+  Alcotest.(check bool) "decides" true (decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions)
 
 let prop_hbo_safety_random_graphs =
   QCheck.Test.make
@@ -418,22 +432,23 @@ let prop_hbo_safety_random_graphs =
         Hbo.run ~seed ~impl:Hbo.Trusted ~graph:g ~max_steps:150_000 ~crashes
           ~inputs ()
       in
-      Hbo.agreement o && Hbo.validity ~inputs o)
+      Decisions.agreement o.Hbo.decisions
+      && Decisions.validity ~inputs o.Hbo.decisions)
 
 (* --- pure shared-memory baseline --- *)
 
 let test_sm_consensus_basic () =
   let o = Sm.run ~seed:1 ~n:5 ~inputs:[| 1; 0; 1; 0; 1 |] () in
-  Alcotest.(check bool) "decided" true (Sm.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Sm.agreement o);
-  Alcotest.(check int) "no messages" 0 o.Sm.messages_sent
+  Alcotest.(check bool) "decided" true (sm_decided o);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Sm.decisions);
+  Alcotest.(check int) "no messages" 0 o.Sm.run.net.Mm_net.Network.sent
 
 let test_sm_consensus_n_minus_1_crashes () =
   let o =
     Sm.run ~seed:2 ~n:5 ~crashes:[ (0, 0); (1, 0); (2, 0); (3, 0) ]
       ~inputs:[| 1; 0; 1; 0; 1 |] ()
   in
-  Alcotest.(check bool) "lone survivor decides" true (Sm.all_correct_decided o)
+  Alcotest.(check bool) "lone survivor decides" true (sm_decided o)
 
 let () =
   Alcotest.run "mm_consensus"

@@ -70,7 +70,7 @@ let test_reliable_steady_state_silent () =
           (c.Mem.reads_local + c.Mem.reads_remote);
         Alcotest.(check int) "leader writes only locally" 0 c.Mem.writes_remote
       end
-      else if not o.Omega.crashed.(i) then begin
+      else if not o.Omega.run.crashed.(i) then begin
         Alcotest.(check bool) "follower reads" true (c.Mem.reads_remote > 0);
         Alcotest.(check int) "follower never writes" 0
           (c.Mem.writes_local + c.Mem.writes_remote)
@@ -116,7 +116,7 @@ let test_locality () =
           if i = l then
             Alcotest.(check int) "leader remote ops" 0
               (c.Mem.reads_remote + c.Mem.writes_remote)
-          else if not o.Omega.crashed.(i) then
+          else if not o.Omega.run.crashed.(i) then
             Alcotest.(check int) "follower local ops" 0
               (c.Mem.reads_local + c.Mem.writes_local))
         o.Omega.window_mem)
@@ -152,7 +152,7 @@ let test_lossy_failover () =
   in
   Alcotest.(check bool) "re-converged under loss" true (Omega.holds o);
   match o.Omega.agreed_leader with
-  | Some l -> Alcotest.(check bool) "correct leader" true (not o.Omega.crashed.(l))
+  | Some l -> Alcotest.(check bool) "correct leader" true (not o.Omega.run.crashed.(l))
   | None -> Alcotest.fail "no agreed leader"
 
 let test_no_timely_process_no_guarantee () =
@@ -303,12 +303,12 @@ let test_fd_suspects_are_reported () =
 
 let test_mp_omega_stable_with_timely_links () =
   let o = Mp.run ~seed:1 ~delay:(Net.Fixed 2) ~n:4 () in
-  Alcotest.(check bool) "stable under short fixed delays" true (Mp.holds o)
+  Alcotest.(check bool) "stable under short fixed delays" true (Omega.holds o)
 
 let test_mp_omega_never_silent () =
   let o = Mp.run ~seed:1 ~delay:(Net.Fixed 2) ~n:4 () in
   Alcotest.(check bool) "heartbeats keep flowing" true
-    (o.Mp.window_net.Net.sent > 100)
+    (o.Omega.window_net.Net.sent > 100)
 
 let test_mp_omega_flaps_under_async_links () =
   (* Delays an order of magnitude beyond the timeout: the baseline keeps
@@ -316,7 +316,7 @@ let test_mp_omega_flaps_under_async_links () =
      algorithm under the very same delays is unaffected. *)
   let delay = Net.Uniform (1, 600) in
   let mp = Mp.run ~seed:3 ~timeout:32 ~delay ~n:4 () in
-  Alcotest.(check bool) "baseline unstable" false (Mp.holds mp);
+  Alcotest.(check bool) "baseline unstable" false (Omega.holds mp);
   let mm = Omega.run ~seed:3 ~delay ~variant:Omega.Reliable ~n:4 () in
   Alcotest.(check bool) "m&m stable under same delays" true (Omega.holds mm)
 
@@ -325,8 +325,8 @@ let test_mp_omega_crash_failover () =
     Mp.run ~seed:5 ~delay:(Net.Fixed 2) ~crashes:[ (0, 20_000) ]
       ~warmup:100_000 ~n:4 ()
   in
-  Alcotest.(check bool) "re-stabilizes" true (Mp.holds o);
-  match o.Mp.agreed_leader with
+  Alcotest.(check bool) "re-stabilizes" true (Omega.holds o);
+  match o.Omega.agreed_leader with
   | Some l -> Alcotest.(check bool) "not the crashed one" true (l <> 0)
   | None -> Alcotest.fail "no leader"
 

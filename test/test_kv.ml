@@ -182,7 +182,7 @@ let test_kv_completes_and_linearizes () =
   Alcotest.(check int) "all completed" spec.W.ops o.Kv.completed;
   Alcotest.(check bool) "consistent" true o.Kv.consistent;
   Alcotest.(check bool) "no crashes" true
-    (Array.for_all not o.Kv.crashed);
+    (Array.for_all not o.Kv.run.crashed);
   List.iter
     (fun (name, m) ->
       Alcotest.(check bool) name true (Monitor.is_pass (m o)))
@@ -285,7 +285,7 @@ let test_kv_crash_still_consistent () =
   Alcotest.(check bool) "linearizable" true
     (Monitor.is_pass (Monitor.kv_linearizable o));
   Alcotest.(check bool) "crashed flags set" true
-    (o.Kv.crashed.(1) && o.Kv.crashed.(4))
+    (o.Kv.run.crashed.(1) && o.Kv.run.crashed.(4))
 
 (* --- client robustness: per-op deadlines --- *)
 
@@ -312,7 +312,7 @@ let test_kv_timeout_accounting () =
     Kv.run ~seed:3 ~max_steps:600_000 ~op_timeout:150 ~shards:2 ~replicas:3
       ~workload:wl ()
   in
-  Alcotest.(check bool) "books closed" true (o.Kv.reason = Engine.Stopped);
+  Alcotest.(check bool) "books closed" true (o.Kv.run.reason = Engine.Stopped);
   Alcotest.(check (option int)) "deadline recorded" (Some 150) o.Kv.op_timeout;
   Alcotest.(check bool) "deadline tight enough to expire some" true
     (o.Kv.timeouts > 0);

@@ -5,8 +5,10 @@ module Mutex = Mm_mutex.Mutex
 module Engine = Mm_sim.Engine
 
 let check_safety_and_liveness name (o : Mutex.outcome) ~n ~entries =
-  Alcotest.(check int) (name ^ ": no safety violations") 0 o.Mutex.safety_violations;
-  Alcotest.(check bool) (name ^ ": completed") true (o.Mutex.reason = Engine.Quiescent);
+  Alcotest.(check int) (name ^ ": no safety violations") 0
+    o.Mutex.safety_violations;
+  Alcotest.(check bool) (name ^ ": completed") true
+    (o.Mutex.run.reason = Engine.Quiescent);
   Array.iteri
     (fun i e ->
       Alcotest.(check int) (Printf.sprintf "%s: p%d entries" name i) entries e)
@@ -15,44 +17,44 @@ let check_safety_and_liveness name (o : Mutex.outcome) ~n ~entries =
     (Array.fold_left ( + ) 0 o.Mutex.entries)
 
 let test_bakery_basic () =
-  let o = Mutex.run_bakery ~seed:1 ~n:4 ~entries:5 () in
+  let o = Mutex.run ~algo:Mutex.Bakery ~seed:1 ~n:4 ~entries:5 () in
   check_safety_and_liveness "bakery" o ~n:4 ~entries:5
 
 let test_mm_basic () =
-  let o = Mutex.run_mm ~seed:1 ~n:4 ~entries:5 () in
+  let o = Mutex.run ~algo:Mutex.Mm ~seed:1 ~n:4 ~entries:5 () in
   check_safety_and_liveness "mm" o ~n:4 ~entries:5
 
 let test_bakery_many_seeds () =
   for seed = 1 to 10 do
-    let o = Mutex.run_bakery ~seed ~n:3 ~entries:4 () in
+    let o = Mutex.run ~algo:Mutex.Bakery ~seed ~n:3 ~entries:4 () in
     Alcotest.(check int)
       (Printf.sprintf "bakery safe (seed %d)" seed)
       0 o.Mutex.safety_violations;
-    Alcotest.(check bool) "done" true (o.Mutex.reason = Engine.Quiescent)
+    Alcotest.(check bool) "done" true (o.Mutex.run.reason = Engine.Quiescent)
   done
 
 let test_mm_many_seeds () =
   for seed = 1 to 10 do
-    let o = Mutex.run_mm ~seed ~n:3 ~entries:4 () in
+    let o = Mutex.run ~algo:Mutex.Mm ~seed ~n:3 ~entries:4 () in
     Alcotest.(check int)
       (Printf.sprintf "mm safe (seed %d)" seed)
       0 o.Mutex.safety_violations;
-    Alcotest.(check bool) "done" true (o.Mutex.reason = Engine.Quiescent)
+    Alcotest.(check bool) "done" true (o.Mutex.run.reason = Engine.Quiescent)
   done
 
 let test_single_process () =
-  let o = Mutex.run_mm ~seed:2 ~n:1 ~entries:3 () in
+  let o = Mutex.run ~algo:Mutex.Mm ~seed:2 ~n:1 ~entries:3 () in
   Alcotest.(check int) "entries" 3 o.Mutex.entries.(0);
   Alcotest.(check int) "no contention, no messages... wake-free" 0
-    o.Mutex.messages_sent
+    o.Mutex.run.net.Mm_net.Network.sent
 
 let test_mm_does_not_spin () =
   (* The §1 claim, quantified: under contention the bakery's waiting
      reads grow with contention and CS length, while the m&m lock's
      waiting reads stay O(1) per entry (one recheck per wake). *)
   let n = 6 and entries = 8 in
-  let bakery = Mutex.run_bakery ~seed:3 ~cs_work:30 ~n ~entries () in
-  let mm = Mutex.run_mm ~seed:3 ~cs_work:30 ~n ~entries () in
+  let bakery = Mutex.run ~algo:Mutex.Bakery ~seed:3 ~cs_work:30 ~n ~entries () in
+  let mm = Mutex.run ~algo:Mutex.Mm ~seed:3 ~cs_work:30 ~n ~entries () in
   let b = Mutex.wait_reads_per_entry bakery in
   let m = Mutex.wait_reads_per_entry mm in
   Alcotest.(check bool)
@@ -62,25 +64,26 @@ let test_mm_does_not_spin () =
     (Printf.sprintf "mm does not spin (%.1f reads/entry)" m)
     true (m < 4.0);
   Alcotest.(check bool) "mm uses messages instead" true
-    (mm.Mutex.messages_sent > 0);
-  Alcotest.(check int) "bakery never sends" 0 bakery.Mutex.messages_sent
+    (mm.Mutex.run.net.Mm_net.Network.sent > 0);
+  Alcotest.(check int) "bakery never sends" 0
+    bakery.Mutex.run.net.Mm_net.Network.sent
 
 let test_mm_message_bound () =
   (* At most one wake per handoff: messages <= total entries. *)
   let n = 5 and entries = 6 in
-  let o = Mutex.run_mm ~seed:4 ~n ~entries () in
+  let o = Mutex.run ~algo:Mutex.Mm ~seed:4 ~n ~entries () in
   Alcotest.(check bool) "bounded wakeups" true
-    (o.Mutex.messages_sent <= n * entries)
+    (o.Mutex.run.net.Mm_net.Network.sent <= n * entries)
 
 let test_local_spin_basic () =
-  let o = Mutex.run_local_spin ~seed:1 ~n:4 ~entries:5 () in
+  let o = Mutex.run ~algo:Mutex.Local_spin ~seed:1 ~n:4 ~entries:5 () in
   check_safety_and_liveness "local-spin" o ~n:4 ~entries:5;
-  Alcotest.(check int) "no messages" 0 o.Mutex.messages_sent
+  Alcotest.(check int) "no messages" 0 o.Mutex.run.net.Mm_net.Network.sent
 
 let test_local_spin_is_local () =
   (* All waiting reads after the first SERVING check are on the waiter's
      own GRANT register. *)
-  let o = Mutex.run_local_spin ~seed:2 ~cs_work:30 ~n:5 ~entries:4 () in
+  let o = Mutex.run ~algo:Mutex.Local_spin ~seed:2 ~cs_work:30 ~n:5 ~entries:4 () in
   Alcotest.(check int) "safe" 0 o.Mutex.safety_violations;
   let total = Array.fold_left ( + ) 0 o.Mutex.wait_reads in
   let local = Array.fold_left ( + ) 0 o.Mutex.wait_reads_local in
@@ -93,9 +96,9 @@ let test_three_way_ordering () =
   (* The §1 story in one assertion chain: remote spins (bakery) and local
      spins (queue lock) burn reads; the m&m lock does neither. *)
   let n = 5 and entries = 5 and cs_work = 25 in
-  let b = Mutex.run_bakery ~seed:4 ~cs_work ~n ~entries () in
-  let l = Mutex.run_local_spin ~seed:4 ~cs_work ~n ~entries () in
-  let m = Mutex.run_mm ~seed:4 ~cs_work ~n ~entries () in
+  let b = Mutex.run ~algo:Mutex.Bakery ~seed:4 ~cs_work ~n ~entries () in
+  let l = Mutex.run ~algo:Mutex.Local_spin ~seed:4 ~cs_work ~n ~entries () in
+  let m = Mutex.run ~algo:Mutex.Mm ~seed:4 ~cs_work ~n ~entries () in
   Alcotest.(check bool) "all safe" true
     (b.Mutex.safety_violations = 0
     && l.Mutex.safety_violations = 0
@@ -107,9 +110,9 @@ let test_three_way_ordering () =
     true
     (spins m < 4.0 && spins l > 2.0 *. spins m && spins b > 2.0 *. spins m);
   (* only the m&m lock uses the network *)
-  Alcotest.(check int) "bakery msgs" 0 b.Mutex.messages_sent;
-  Alcotest.(check int) "local-spin msgs" 0 l.Mutex.messages_sent;
-  Alcotest.(check bool) "mm msgs" true (m.Mutex.messages_sent > 0)
+  Alcotest.(check int) "bakery msgs" 0 b.Mutex.run.net.Mm_net.Network.sent;
+  Alcotest.(check int) "local-spin msgs" 0 l.Mutex.run.net.Mm_net.Network.sent;
+  Alcotest.(check bool) "mm msgs" true (m.Mutex.run.net.Mm_net.Network.sent > 0)
 
 let test_spin_reads_counter () =
   (* spin_reads isolates the §1 invariant: re-reads while blocked that
@@ -117,9 +120,9 @@ let test_spin_reads_counter () =
      sleep on the mailbox and recheck once per Wake), positive for both
      spinning locks under contention. *)
   let n = 5 and entries = 4 and cs_work = 25 in
-  let b = Mutex.run_bakery ~seed:5 ~cs_work ~n ~entries () in
-  let l = Mutex.run_local_spin ~seed:5 ~cs_work ~n ~entries () in
-  let m = Mutex.run_mm ~seed:5 ~cs_work ~n ~entries () in
+  let b = Mutex.run ~algo:Mutex.Bakery ~seed:5 ~cs_work ~n ~entries () in
+  let l = Mutex.run ~algo:Mutex.Local_spin ~seed:5 ~cs_work ~n ~entries () in
+  let m = Mutex.run ~algo:Mutex.Mm ~seed:5 ~cs_work ~n ~entries () in
   let total o = Array.fold_left ( + ) 0 o.Mutex.spin_reads in
   Alcotest.(check bool) "bakery spins" true (total b > 0);
   Alcotest.(check bool) "local-spin spins" true (total l > 0);
@@ -129,15 +132,15 @@ let prop_mutex_safety =
   QCheck.Test.make ~name:"mutex safety across seeds and sizes" ~count:30
     QCheck.(triple (int_range 0 1000) (int_range 2 5) (int_range 1 4))
     (fun (seed, n, entries) ->
-      let b = Mutex.run_bakery ~seed ~n ~entries () in
-      let l = Mutex.run_local_spin ~seed ~n ~entries () in
-      let m = Mutex.run_mm ~seed ~n ~entries () in
+      let b = Mutex.run ~algo:Mutex.Bakery ~seed ~n ~entries () in
+      let l = Mutex.run ~algo:Mutex.Local_spin ~seed ~n ~entries () in
+      let m = Mutex.run ~algo:Mutex.Mm ~seed ~n ~entries () in
       b.Mutex.safety_violations = 0
       && l.Mutex.safety_violations = 0
       && m.Mutex.safety_violations = 0
-      && b.Mutex.reason = Engine.Quiescent
-      && l.Mutex.reason = Engine.Quiescent
-      && m.Mutex.reason = Engine.Quiescent)
+      && b.Mutex.run.reason = Engine.Quiescent
+      && l.Mutex.run.reason = Engine.Quiescent
+      && m.Mutex.run.reason = Engine.Quiescent)
 
 let () =
   Alcotest.run "mm_mutex"

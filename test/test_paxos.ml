@@ -3,18 +3,24 @@
    and the m&m decision broadcast. *)
 
 module Paxos = Mm_consensus.Paxos
+module Decisions = Mm_consensus.Decisions
 module Engine = Mm_sim.Engine
 module Sched = Mm_sim.Sched
 module Net = Mm_net.Network
 module Mem = Mm_mem.Mem
 
+(* Every process that never crashed decided. *)
+let decided (o : Paxos.outcome) =
+  Decisions.all_correct_decided ~crashed:o.Paxos.run.crashed o.Paxos.decisions
+
 let test_static_leader () =
   for seed = 1 to 10 do
     let inputs = [| 3; 1; 4; 1; 5 |] in
     let o = Paxos.run ~seed ~oracle:(Paxos.Static 0) ~n:5 ~inputs () in
-    Alcotest.(check bool) "terminates" true (Paxos.all_correct_decided o);
-    Alcotest.(check bool) "agreement" true (Paxos.agreement o);
-    Alcotest.(check bool) "validity" true (Paxos.validity ~inputs o)
+    Alcotest.(check bool) "terminates" true (decided o);
+    Alcotest.(check bool) "agreement" true (Decisions.agreement o.Paxos.decisions);
+    Alcotest.(check bool) "validity" true
+      (Decisions.validity ~inputs o.Paxos.decisions)
   done
 
 let test_static_leader_decides_own_value_when_first () =
@@ -27,15 +33,29 @@ let test_static_leader_decides_own_value_when_first () =
       | None -> Alcotest.fail "undecided")
     o.Paxos.decisions
 
+(* A static leader outside [0, n) would never propose: rejected. *)
+let test_static_leader_out_of_range () =
+  List.iter
+    (fun l ->
+      Alcotest.check_raises
+        (Printf.sprintf "static:%d" l)
+        (Invalid_argument
+           (Printf.sprintf "Paxos.run: static leader %d outside [0, 3)" l))
+        (fun () ->
+          ignore
+            (Paxos.run ~oracle:(Paxos.Static l) ~n:3 ~inputs:[| 1; 2; 3 |] ())))
+    [ 99; 3; -1 ]
+
 let test_heartbeat_oracle () =
   for seed = 1 to 8 do
     let inputs = [| 7; 2; 7; 2 |] in
     let o = Paxos.run ~seed ~oracle:Paxos.Heartbeat ~n:4 ~inputs () in
     Alcotest.(check bool)
       (Printf.sprintf "terminates (seed %d)" seed)
-      true (Paxos.all_correct_decided o);
-    Alcotest.(check bool) "agreement" true (Paxos.agreement o);
-    Alcotest.(check bool) "validity" true (Paxos.validity ~inputs o)
+      true (decided o);
+    Alcotest.(check bool) "agreement" true (Decisions.agreement o.Paxos.decisions);
+    Alcotest.(check bool) "validity" true
+      (Decisions.validity ~inputs o.Paxos.decisions)
   done
 
 let test_n_minus_1_crashes () =
@@ -47,7 +67,7 @@ let test_n_minus_1_crashes () =
       ~crashes:[ (0, 0); (1, 0); (2, 0) ]
       ~inputs ()
   in
-  Alcotest.(check bool) "survivor decides" true (Paxos.all_correct_decided o);
+  Alcotest.(check bool) "survivor decides" true (decided o);
   (match o.Paxos.decisions.(3) with
   | Some v -> Alcotest.(check bool) "valid" true (v >= 1 && v <= 4)
   | None -> Alcotest.fail "undecided");
@@ -65,9 +85,10 @@ let test_leader_crash_failover () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "failover decides (seed %d)" seed)
-      true (Paxos.all_correct_decided o);
-    Alcotest.(check bool) "agreement" true (Paxos.agreement o);
-    Alcotest.(check bool) "validity" true (Paxos.validity ~inputs o)
+      true (decided o);
+    Alcotest.(check bool) "agreement" true (Decisions.agreement o.Paxos.decisions);
+    Alcotest.(check bool) "validity" true
+      (Decisions.validity ~inputs o.Paxos.decisions)
   done
 
 let test_anarchy_safety () =
@@ -80,8 +101,9 @@ let test_anarchy_safety () =
     in
     Alcotest.(check bool)
       (Printf.sprintf "agreement under anarchy (seed %d)" seed)
-      true (Paxos.agreement o);
-    Alcotest.(check bool) "validity" true (Paxos.validity ~inputs o)
+      true (Decisions.agreement o.Paxos.decisions);
+    Alcotest.(check bool) "validity" true
+      (Decisions.validity ~inputs o.Paxos.decisions)
   done
 
 let test_anarchy_with_crashes_safety () =
@@ -95,7 +117,8 @@ let test_anarchy_with_crashes_safety () =
     Alcotest.(check bool)
       (Printf.sprintf "safe (seed %d)" seed)
       true
-      (Paxos.agreement o && Paxos.validity ~inputs o)
+      (Decisions.agreement o.Paxos.decisions
+       && Decisions.validity ~inputs o.Paxos.decisions)
   done
 
 let test_decision_broadcast_wakes_followers () =
@@ -103,8 +126,9 @@ let test_decision_broadcast_wakes_followers () =
      message (or the rare register fallback) — they never write. *)
   let inputs = [| 4; 4; 4 |] in
   let o = Paxos.run ~seed:5 ~oracle:(Paxos.Static 1) ~n:3 ~inputs () in
-  Alcotest.(check bool) "all decided" true (Paxos.all_correct_decided o);
-  Alcotest.(check bool) "messages used for wake-up" true (o.Paxos.net.Net.sent > 0)
+  Alcotest.(check bool) "all decided" true (decided o);
+  Alcotest.(check bool) "messages used for wake-up" true
+    (o.Paxos.run.net.Net.sent > 0)
 
 let test_ballots_grow_under_contention () =
   let inputs = [| 1; 2; 3 |] in
@@ -137,7 +161,8 @@ let prop_paxos_safety =
       let o =
         Paxos.run ~seed ~oracle ~max_steps:80_000 ~n ~crashes ~inputs ()
       in
-      Paxos.agreement o && Paxos.validity ~inputs o)
+      Decisions.agreement o.Paxos.decisions
+      && Decisions.validity ~inputs o.Paxos.decisions)
 
 let () =
   Alcotest.run "mm_paxos"
@@ -147,6 +172,8 @@ let () =
           Alcotest.test_case "static leader" `Quick test_static_leader;
           Alcotest.test_case "leader value wins" `Quick
             test_static_leader_decides_own_value_when_first;
+          Alcotest.test_case "static leader out of range" `Quick
+            test_static_leader_out_of_range;
           Alcotest.test_case "heartbeat oracle" `Quick test_heartbeat_oracle;
           Alcotest.test_case "n-1 crashes" `Quick test_n_minus_1_crashes;
           Alcotest.test_case "leader crash failover" `Quick

@@ -116,7 +116,8 @@ let test_crash () =
   Engine.crash_at eng p1 50;
   let reason = Engine.run eng ~max_steps:500 () in
   Alcotest.(check bool) "hits step limit" true (reason = Engine.Step_limit);
-  Alcotest.(check bool) "p1 crashed" true (Engine.status_of eng p1 = Engine.Crashed);
+  Alcotest.(check bool) "p1 crashed" true
+    (Engine.status_of eng p1 = Engine.Crashed);
   Alcotest.(check bool) "p1 stopped early" true (Engine.steps_of eng p1 <= 51);
   Alcotest.(check bool) "p0 kept running" true (Engine.steps_of eng p0 > 400)
 
@@ -419,7 +420,8 @@ let test_crash_done_process_harmless () =
   Engine.spawn eng (Id.of_int 0) (fun () -> ());
   Engine.spawn eng (Id.of_int 1) (fun () -> Proc.yield ());
   ignore (Engine.run eng ~max_steps:100 ());
-  Alcotest.(check bool) "p0 done" true (Engine.status_of eng (Id.of_int 0) = Engine.Done);
+  Alcotest.(check bool) "p0 done" true
+    (Engine.status_of eng (Id.of_int 0) = Engine.Done);
   Engine.crash_at eng (Id.of_int 0) (Engine.now eng);
   ignore (Engine.run eng ~max_steps:10 ());
   Alcotest.(check bool) "still done, not crashed" true
@@ -737,6 +739,74 @@ let test_blocked_retry_exact () =
   Alcotest.(check (list int)) "read at the next retry" [ 64 ]
     (steps_of_events eng (function Trace.Read _ -> true | _ -> false))
 
+(* The run record's network counters and the trace tell the same story:
+   every send, delivery and drop is one event, so on a run whose trace
+   holds every event the counts agree exactly. *)
+let run_record_counts ?link ~crashes () =
+  let module Hbo = Mm_consensus.Hbo in
+  let graph = Mm_graph.Builders.ring 5 in
+  let o =
+    Hbo.run ~seed:3 ~impl:Hbo.Trusted ~trace_capacity:1_000_000 ?link
+      ~max_steps:20_000 ~crashes ~graph ~inputs:[| 0; 1; 0; 1; 1 |] ()
+  in
+  let run = o.Hbo.run in
+  let count f = List.length (List.filter (fun e -> f e.Trace.op) run.trace) in
+  let sent = count (function Trace.Sent _ -> true | _ -> false) in
+  let delivered = count (function Trace.Delivered _ -> true | _ -> false) in
+  let dropped = count (function Trace.Dropped -> true | _ -> false) in
+  let s = run.Engine.net in
+  Alcotest.(check (list int))
+    "sent/delivered/dropped = trace counts" [ sent; delivered; dropped ]
+    [ s.Network.sent; s.Network.delivered; s.Network.dropped ];
+  (run.crashed, s)
+
+let test_run_record () =
+  let crashed, s = run_record_counts ~crashes:[] () in
+  Alcotest.(check (array bool)) "no crash planned" (Array.make 5 false) crashed;
+  Alcotest.(check (list int)) "ring-5 traffic" [ 62; 62; 0 ]
+    [ s.Network.sent; s.Network.delivered; s.Network.dropped ];
+  let crashed, s =
+    run_record_counts ~link:(Network.Fair_lossy 0.3)
+      ~crashes:[ (1, 0); (3, 40) ] ()
+  in
+  Alcotest.(check (array bool)) "crash plan victims"
+    [| false; true; false; true; false |] crashed;
+  Alcotest.(check bool) "lossy run drops" true (s.Network.dropped > 0)
+
+(* [crash_plan] is the one place crash plans enter the engine: it names a
+   bad entry and schedules nothing when one is found. *)
+let test_crash_plan () =
+  let rejects what plan msg =
+    let e = make 3 in
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Engine.crash_plan e plan));
+    Alcotest.(check (array bool))
+      (what ^ ": nothing planned") [| false; false; false |]
+      (Engine.summary e).Engine.crashed;
+    ignore (Engine.run e ~max_steps:10 ());
+    Alcotest.(check int) (what ^ ": nothing crashed") 3 (Engine.correct_count e)
+  in
+  rejects "pid past n" [ (0, 1); (9, 0) ]
+    "Engine.crash_plan: pid 9 outside [0, 3)";
+  rejects "negative pid" [ (-1, 0) ] "Engine.crash_plan: pid -1 outside [0, 3)";
+  rejects "negative step" [ (2, -4) ]
+    "Engine.crash_plan: negative step -4 for pid 2";
+  let e = make 3 in
+  let crashed = Engine.crash_plan e [ (2, 0) ] in
+  Alcotest.(check (array bool)) "victims" [| false; false; true |] crashed;
+  Alcotest.(check bool) "summary shares the flags" true
+    ((Engine.summary e).Engine.crashed == crashed);
+  Alcotest.(check bool) "scheduled" true
+    (Engine.status_of e (Id.of_int 2) = Engine.Unspawned);
+  ignore (Engine.run e ~max_steps:1 ());
+  Alcotest.(check bool) "crashed at step 0" true
+    (Engine.status_of e (Id.of_int 2) = Engine.Crashed);
+  (* An algorithm's run reports the same named error. *)
+  Alcotest.check_raises "through Omega.run"
+    (Invalid_argument "Engine.crash_plan: pid 9 outside [0, 3)") (fun () ->
+      let module Omega = Mm_election.Omega in
+      ignore (Omega.run ~crashes:[ (9, 0) ] ~variant:Omega.Reliable ~n:3 ()))
+
 let prop_omega_elects_some_correct_leader =
   QCheck.Test.make ~name:"omega: elects a correct leader across seeds"
     ~count:12
@@ -773,6 +843,7 @@ let () =
           Alcotest.test_case "blocked link" `Quick test_blocked_link_holds_messages;
           Alcotest.test_case "coin determinism" `Quick test_coin_determinism;
           Alcotest.test_case "atomic step" `Quick test_atomic_step;
+          Alcotest.test_case "run record" `Quick test_run_record;
         ] );
       ( "edges",
         [
@@ -794,6 +865,7 @@ let () =
             test_restart_discarded_when_done;
           Alcotest.test_case "crash API validation" `Quick
             test_crash_api_validation;
+          Alcotest.test_case "crash plan validation" `Quick test_crash_plan;
           Alcotest.test_case "emulated backoff O(log w)" `Quick
             test_emulated_backoff_olog;
         ] );

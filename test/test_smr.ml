@@ -50,7 +50,8 @@ let test_follower_commands_reach_the_log () =
       (List.map (fun (_, c) -> c.Log.issuer) o.Log.logs.(0))
   in
   Alcotest.(check (list int)) "all issuers present" [ 0; 1; 2 ] committed_issuers;
-  Alcotest.(check bool) "forwarding used messages" true (o.Log.net.Net.sent > 0)
+  Alcotest.(check bool) "forwarding used messages" true
+    (o.Log.run.net.Net.sent > 0)
 
 let test_leader_crash_failover () =
   for seed = 1 to 5 do
@@ -81,7 +82,7 @@ let test_leader_restart_window () =
     let restarted =
       List.exists
         (fun (e : Trace.event) -> e.Trace.op = Trace.Restarted)
-        o.Log.trace
+        o.Log.run.trace
     in
     Alcotest.(check bool)
       (Printf.sprintf "restart fired (seed %d)" seed)

@@ -11,6 +11,7 @@ module Proc = Mm_sim.Proc
 module B = Mm_graph.Builders
 module E = Mm_graph.Expansion
 module Hbo = Mm_consensus.Hbo
+module Decisions = Mm_consensus.Decisions
 module Omega = Mm_election.Omega
 module Log = Mm_smr.Replicated_log
 
@@ -80,7 +81,10 @@ let test_large_run_deterministic () =
         ~inputs:(Array.init 25 (fun i -> i mod 2))
         ()
     in
-    (o.Hbo.decisions, o.Hbo.total_steps, o.Hbo.net.Net.sent, o.Hbo.coin_flips)
+    ( o.Hbo.decisions,
+      o.Hbo.run.steps,
+      o.Hbo.run.net.Net.sent,
+      o.Hbo.run.coin_flips )
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "bit-identical reruns" true (a = b)
@@ -98,8 +102,10 @@ let test_hbo_at_scale () =
       ~inputs:(Array.init n (fun i -> i mod 2))
       ()
   in
-  Alcotest.(check bool) "decides" true (Hbo.all_correct_decided o);
-  Alcotest.(check bool) "agreement" true (Hbo.agreement o)
+  Alcotest.(check bool) "decides" true
+    (Decisions.all_correct_decided ~crashed:o.Hbo.run.crashed
+       o.Hbo.decisions);
+  Alcotest.(check bool) "agreement" true (Decisions.agreement o.Hbo.decisions)
 
 let test_omega_at_scale () =
   let o = Omega.run ~seed:5 ~warmup:150_000 ~variant:Omega.Reliable ~n:16 () in
