@@ -390,10 +390,11 @@ let kv_cmd =
       { W.clients; ops; mean_gap = gap; key_space = keys; theta;
         read_fraction = reads }
     in
-    let workload = W.gen (Mm_rng.Rng.create seed) spec ~replicas in
-    let o =
-      Kv.run ~seed ~max_steps ?op_timeout:timeout
-        ~local_reads:(not no_local_reads) ~shards ~replicas ~workload ()
+    let+ o =
+      rejected (fun () ->
+          let workload = W.gen (Mm_rng.Rng.create seed) spec ~replicas in
+          Kv.run ~seed ~max_steps ?op_timeout:timeout
+            ~local_reads:(not no_local_reads) ~shards ~replicas ~workload ())
     in
     Format.printf
       "stopped: %a after %d steps; %d/%d completed, consistent: %b, \
@@ -447,9 +448,10 @@ let kv_cmd =
     (Cmd.info "kv"
        ~doc:"Run the sharded KV service under open-loop load and report \
              per-shard latency percentiles (engine ticks).")
-    Term.(const run $ shards_arg $ replicas_arg $ clients_arg $ ops_arg
-          $ theta_arg $ keys_arg $ gap_arg $ reads_arg $ max_steps_arg
-          $ no_local_reads_arg $ timeout_arg $ seed_arg)
+    Term.(term_result' ~usage:true
+            (const run $ shards_arg $ replicas_arg $ clients_arg $ ops_arg
+             $ theta_arg $ keys_arg $ gap_arg $ reads_arg $ max_steps_arg
+             $ no_local_reads_arg $ timeout_arg $ seed_arg))
 
 (* --- election --- *)
 

@@ -408,29 +408,34 @@ let kv_recovers ~heal_by ~settle (o : Mm_kv.Kv.outcome) =
    completion step); durable means the request was applied somewhere in
    its shard — present in the union of the shard replicas' final apply
    logs.  Registers survive restarts by the m&m model (§3), so a restart
-   that loses an acked put points at the recovery path, not the store. *)
+   that loses an acked put points at the recovery path, not the store.
+   Linear: one pass over the shard logs marks each request id applied
+   in its own shard, then one pass over the ops collects the lost puts
+   in workload order. *)
 let kv_durable (o : Mm_kv.Kv.outcome) =
   let module W = Mm_kv.Workload in
+  let module Kv = Mm_kv.Kv in
+  let ops = o.Kv.ops in
+  let shard_of id = ops.(id).Kv.req.W.key mod o.Kv.shards in
+  let applied = Bytes.make (Array.length ops) '\000' in
+  for s = 0 to o.Kv.shards - 1 do
+    for r = 0 to o.Kv.replicas - 1 do
+      List.iter
+        (fun (_, id) ->
+          if id >= 0 && id < Array.length ops && shard_of id = s then
+            Bytes.set applied id '\001')
+        o.Kv.logs.((s * o.Kv.replicas) + r)
+    done
+  done;
   let lost = ref [] in
   Array.iteri
-    (fun id (rc : Mm_kv.Kv.op_record) ->
-      match rc.Mm_kv.Kv.req.W.op with
+    (fun id (rc : Kv.op_record) ->
+      match rc.Kv.req.W.op with
       | W.Get -> ()
       | W.Put _ ->
-        if rc.Mm_kv.Kv.completion >= 0 then begin
-          let s = rc.Mm_kv.Kv.req.W.key mod o.Mm_kv.Kv.shards in
-          let applied = ref false in
-          for r = 0 to o.Mm_kv.Kv.replicas - 1 do
-            if
-              (not !applied)
-              && List.exists
-                   (fun (_, id') -> id' = id)
-                   o.Mm_kv.Kv.logs.((s * o.Mm_kv.Kv.replicas) + r)
-            then applied := true
-          done;
-          if not !applied then lost := id :: !lost
-        end)
-    o.Mm_kv.Kv.ops;
+        if rc.Kv.completion >= 0 && Bytes.get applied id = '\000' then
+          lost := id :: !lost)
+    ops;
   match List.rev !lost with
   | [] -> Pass
   | ids ->

@@ -143,5 +143,6 @@ val kv_recovers : heal_by:int -> settle:int -> Mm_kv.Kv.outcome -> verdict
 (** Durability across crash-recovery: every acknowledged (completed) put
     appears in the union of its shard replicas' final apply logs.  An
     acked-but-lost put indicts the recovery path — registers themselves
-    survive restarts by the m&m model (§3). *)
+    survive restarts by the m&m model (§3).  Lost puts are listed in
+    workload order.  Linear: O(ops + total apply-log length). *)
 val kv_durable : Mm_kv.Kv.outcome -> verdict

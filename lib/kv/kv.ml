@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
 module Mem = Mm_mem.Mem
@@ -48,7 +49,11 @@ type outcome = {
    [my_ingress] the request ids (workload order, nondecreasing arrival)
    this replica is the ingress for, [records] the host-global completion
    board every replica shares through its closure (the engine is
-   single-threaded, so host state needs no synchronization). *)
+   single-threaded, so host state needs no synchronization).
+
+   Request ids are dense in [0, |reqs|), so per-request state is held
+   in arrays of that size; slots and keys are dense from 0 and live in
+   [Int_table]s.  Nothing on this replica's per-step path hashes. *)
 let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
     ~local_reads ~reqs ~records ~my_ingress ~retry_rng ~on_apply ~on_complete
     me () =
@@ -60,12 +65,17 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
      reads) and local-read gets, both kept until observed complete. *)
   let my_puts : int Queue.t = Queue.create () in
   let my_gets : int Queue.t = Queue.create () in
-  let owned_set : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-  let learn_cache : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let applied : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let state : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let nreqs = Array.length reqs in
+  let owned = Bytes.make nreqs '\000' in
+  let applied = Bytes.make nreqs '\000' in
+  let is_set flags id = Bytes.get flags id <> '\000' in
+  let set flags id b = Bytes.set flags id (if b then '\001' else '\000') in
+  (* slot -> request id learned for it; absent = -1 *)
+  let learn_cache : int Int_table.t = Int_table.create () in
+  (* key -> value; absent = 0, the value of a never-written key *)
+  let state : int Int_table.t = Int_table.create () in
   let apply_next = ref 0 in
-  let value_of key = Option.value ~default:0 (Hashtbl.find_opt state key) in
+  let value_of key = Int_table.find_or state key ~default:0 in
   let done_ id = records.(id).completion >= 0 in
   (* A request needs no more shepherding once it completed — or once its
      client gave up on it (per-op deadline): an expired request is
@@ -73,41 +83,38 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
   let closed id = done_ id || records.(id).expired in
   (* At-least-once retry pacing, per request: first forward immediately,
      then bounded exponential backoff with seeded jitter so a thundering
-     herd of shepherds never synchronizes on a recovering leader. *)
-  let retry : (int, int * int) Hashtbl.t = Hashtbl.create 32 in
+     herd of shepherds never synchronizes on a recovering leader.  A
+     request's clock is its next due step and its current delay; delay 0
+     means no clock yet (never forwarded, or dropped). *)
+  let retry_next = Array.make nreqs 0 in
+  let retry_delay = Array.make nreqs 0 in
   let retry_base = 16 and retry_cap = 512 in
-  let retry_due id now =
-    match Hashtbl.find_opt retry id with
-    | None -> true
-    | Some (next, _) -> next <= now
-  in
+  let retry_due id now = retry_delay.(id) = 0 || retry_next.(id) <= now in
   let retry_bump id now =
-    let delay =
-      match Hashtbl.find_opt retry id with
-      | None -> retry_base
-      | Some (_, d) -> min (2 * d) retry_cap
-    in
+    let d = retry_delay.(id) in
+    let delay = if d = 0 then retry_base else min (2 * d) retry_cap in
     let jitter = Mm_rng.Rng.int retry_rng (1 + (delay / 2)) in
-    Hashtbl.replace retry id (now + delay + jitter, delay)
+    retry_next.(id) <- now + delay + jitter;
+    retry_delay.(id) <- delay
   in
-  let retry_drop id = Hashtbl.remove retry id in
+  let retry_drop id = retry_delay.(id) <- 0 in
   let claim id =
-    if (not (closed id)) && not (Hashtbl.mem owned_set id) then begin
-      Hashtbl.replace owned_set id ();
+    if (not (closed id)) && not (is_set owned id) then begin
+      set owned id true;
       match reqs.(id).W.op with
       | W.Get when local_reads -> Queue.add id my_gets
       | _ -> Queue.add id my_puts
     end
   in
   let apply s id =
-    let dup = Hashtbl.mem applied id in
+    let dup = is_set applied id in
     if not dup then begin
-      Hashtbl.replace applied id ();
+      set applied id true;
       let rq = reqs.(id) in
       let value =
         match rq.W.op with
         | W.Put v ->
-          Hashtbl.replace state rq.W.key v;
+          Int_table.replace state rq.W.key v;
           v
         | W.Get -> value_of rq.W.key
       in
@@ -123,15 +130,14 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
     let progress = ref true in
     while !progress do
       let s = !apply_next in
-      match Hashtbl.find_opt learn_cache s with
-      | Some id -> apply s id
-      | None ->
-        if read_register then begin
-          match Log.Slots.read_decided slots s with
-          | Some id -> apply s id
-          | None -> progress := false
-        end
-        else progress := false
+      let id = Int_table.find_or learn_cache s ~default:(-1) in
+      if id >= 0 then apply s id
+      else if read_register then begin
+        match Log.Slots.read_decided slots s with
+        | Some id -> apply s id
+        | None -> progress := false
+      end
+      else progress := false
     done
   in
   (* Answer every pending local read from the applied state, host-side
@@ -143,7 +149,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
       match Queue.take_opt my_gets with
       | None -> ()
       | Some id ->
-        Hashtbl.remove owned_set id;
+        set owned id false;
         if not (done_ id) then
           on_complete ~shard id ~now:(Engine.now eng)
             ~value:(value_of reqs.(id).W.key)
@@ -168,7 +174,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
       | None -> None
       | Some id ->
         if closed id then begin
-          Hashtbl.remove owned_set id;
+          set owned id false;
           retry_drop id;
           pop ()
         end
@@ -194,7 +200,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
         | None -> ()
         | Some id ->
           if closed id then begin
-            Hashtbl.remove owned_set id;
+            set owned id false;
             retry_drop id
           end
           else begin
@@ -215,7 +221,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
       (fun (_src, payload) ->
         match payload with
         | Kv_forward id -> claim id
-        | Kv_learn (s, id) -> Hashtbl.replace learn_cache s id
+        | Kv_learn (s, id) -> Int_table.replace learn_cache s id
         | _ -> ())
       (Proc.receive ());
     Fd.step det;
@@ -237,7 +243,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
          match Log.Proposer.attempt prop ~slot:s id with
          | Some chosen ->
            Log.Slots.write_decision slots s chosen;
-           Hashtbl.replace learn_cache s chosen;
+           Int_table.replace learn_cache s chosen;
            Array.iteri
              (fun j q -> if j <> r then Proc.send q (Kv_learn (s, chosen)))
              peers;
@@ -246,7 +252,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
            (* Lost the ballot: catch up from the register before
               retrying at this slot. *)
            (match Log.Slots.read_decided slots s with
-           | Some id -> Hashtbl.replace learn_cache s id
+           | Some id -> Int_table.replace learn_cache s id
            | None -> ());
            Proc.yield ())
        | None -> Proc.yield ()
@@ -354,14 +360,15 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
   in
   (* Per-op deadlines: requests arrive in nondecreasing order, so one
      pointer sweep finds everything overdue.  Runs host-side inside the
-     [until] predicate — zero engine steps. *)
+     [until] predicate — zero engine steps.  The test is written as a
+     difference so that a deadline near [max_int] cannot overflow. *)
   let check_expiry now =
     match op_timeout with
     | None -> ()
     | Some d ->
       while
         !expire_ptr < Array.length reqs
-        && reqs.(!expire_ptr).W.arrival + d <= now
+        && now - reqs.(!expire_ptr).W.arrival >= d
       do
         let rc = records.(!expire_ptr) in
         if rc.completion < 0 && not rc.expired then begin

@@ -26,7 +26,13 @@
 
     Per-request latency is recorded in engine ticks — completion step
     minus arrival step, at the first apply (or local serve) anywhere —
-    into per-shard get/put {!Histogram}s. *)
+    into per-shard get/put {!Histogram}s.
+
+    Cost: a replica's per-step path hashes nothing.  Request ids are
+    dense in [\[0, |requests|)], so each replica incarnation keeps its
+    per-request state (claimed, applied, retry clock) in arrays of that
+    size — O(replicas x requests) words per run; its learn cache and
+    key-value state are {!Mm_core.Int_table}s over slots and keys. *)
 
 module W := Workload
 

@@ -73,6 +73,11 @@ let gen rng spec ~replicas =
         let u = Rng.float rng in
         let gap = -.spec.mean_gap *. log (1.0 -. u) in
         clock := !clock +. gap;
+        (* Past 2^62 [int_of_float] is unspecified (it wraps to 0 on
+           amd64), which would silently turn the rest of the workload
+           into a burst at tick 0.  Written so that NaN fails too. *)
+        if not (!clock < 0x1p62) then
+          invalid_arg "Workload.gen: arrival clock overflows (mean_gap too large)";
         let client = Rng.int rng spec.clients in
         let key = sample_key rng cdf in
         let is_read = Rng.float rng < spec.read_fraction in

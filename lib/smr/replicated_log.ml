@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
 module Mem = Mm_mem.Mem
@@ -32,7 +33,9 @@ let empty_block = { mbal = 0; bal = 0; value = None }
    the member pids (a group need not be processes 0..n-1 — the sharded
    KV service runs one group per shard).  Host-level lazy register
    tables: conceptually the infinite per-slot arrays pre-exist (as in
-   HBO's RVals/PVals); we materialize on first touch.  The engine is
+   HBO's RVals/PVals); we materialize on first touch.  Slots are dense
+   from 0, so both tables are [Int_table]s: a slot lookup on the
+   per-step path costs an index, not a hash.  The engine is
    single-threaded, so this is race-free. *)
 
 module Slots = struct
@@ -40,13 +43,19 @@ module Slots = struct
     store : Mem.store;
     pids : Id.t array;
     prefix : string;
-    blocks : (int, 'v block Mem.reg array) Hashtbl.t;
-    decisions : (int, 'v option Mem.reg) Hashtbl.t;
+    blocks : 'v block Mem.reg array Int_table.t;
+    decisions : 'v option Mem.reg Int_table.t;
   }
 
   let create store ~pids ~prefix =
     if Array.length pids = 0 then invalid_arg "Slots.create: empty group";
-    { store; pids; prefix; blocks = Hashtbl.create 32; decisions = Hashtbl.create 32 }
+    {
+      store;
+      pids;
+      prefix;
+      blocks = Int_table.create ();
+      decisions = Int_table.create ();
+    }
 
   let group_size t = Array.length t.pids
 
@@ -54,9 +63,9 @@ module Slots = struct
     Array.to_list t.pids |> List.filter (fun q -> not (Id.equal q owner))
 
   let blocks t s =
-    match Hashtbl.find_opt t.blocks s with
-    | Some a -> a
-    | None ->
+    match Int_table.find t.blocks s with
+    | a -> a
+    | exception Not_found ->
       let a =
         Array.init (Array.length t.pids) (fun i ->
             let owner = t.pids.(i) in
@@ -64,20 +73,20 @@ module Slots = struct
               ~name:(Printf.sprintf "%sR[%d][%d]" t.prefix s i)
               ~owner ~shared_with:(others t owner) empty_block)
       in
-      Hashtbl.add t.blocks s a;
+      Int_table.replace t.blocks s a;
       a
 
   let decision t s =
-    match Hashtbl.find_opt t.decisions s with
-    | Some r -> r
-    | None ->
+    match Int_table.find t.decisions s with
+    | r -> r
+    | exception Not_found ->
       let owner = t.pids.(s mod Array.length t.pids) in
       let r =
         Mem.alloc t.store
           ~name:(Printf.sprintf "%sD[%d]" t.prefix s)
           ~owner ~shared_with:(others t owner) None
       in
-      Hashtbl.add t.decisions s r;
+      Int_table.replace t.decisions s r;
       r
 
   let read_decided t s = Proc.read (decision t s)
@@ -85,25 +94,23 @@ module Slots = struct
 
   let peek_decided t s =
     (* Host-side: an unmaterialized decision register was never written. *)
-    match Hashtbl.find_opt t.decisions s with
-    | None -> None
-    | Some r -> Mem.peek r
+    match Int_table.find t.decisions s with
+    | r -> Mem.peek r
+    | exception Not_found -> None
 end
 
 module Proposer = struct
   type 'v t = {
     slots : 'v Slots.t;
     me : int;
-    known : (int, 'v block) Hashtbl.t;
-    next_round : (int, int) Hashtbl.t;
+    known : 'v block Int_table.t;  (* absent = [empty_block] *)
+    next_round : int Int_table.t;  (* absent = round 1 *)
   }
 
   let create slots ~me =
     if me < 0 || me >= Slots.group_size slots then
       invalid_arg "Proposer.create: me out of range";
-    { slots; me; known = Hashtbl.create 16; next_round = Hashtbl.create 16 }
-
-  let get tbl s d = Option.value ~default:d (Hashtbl.find_opt tbl s)
+    { slots; me; known = Int_table.create (); next_round = Int_table.create () }
 
   (* One Disk-Paxos ballot on slot [slot] proposing [v].  Returns the
      chosen value on success (which may be an adopted earlier proposal
@@ -112,11 +119,13 @@ module Proposer = struct
     let n = Slots.group_size p.slots in
     let mi = p.me in
     let blocks = Slots.blocks p.slots slot in
-    let round = get p.next_round slot 1 in
-    Hashtbl.replace p.next_round slot (round + 1);
+    let round = Int_table.find_or p.next_round slot ~default:1 in
+    Int_table.replace p.next_round slot (round + 1);
     let b = (round * n) + mi + 1 in
-    let k = { (get p.known slot empty_block) with mbal = b } in
-    Hashtbl.replace p.known slot k;
+    let k =
+      { (Int_table.find_or p.known slot ~default:empty_block) with mbal = b }
+    in
+    Int_table.replace p.known slot k;
     Proc.write blocks.(mi) k;
     let best = ref (k.bal, k.value) in
     let aborted = ref 0 in
@@ -128,13 +137,14 @@ module Proposer = struct
       end
     done;
     if !aborted > 0 then begin
-      Hashtbl.replace p.next_round slot (max (round + 1) ((!aborted / n) + 1));
+      Int_table.replace p.next_round slot
+        (max (round + 1) ((!aborted / n) + 1));
       None
     end
     else begin
       let v = match snd !best with Some v -> v | None -> v in
       let k = { mbal = b; bal = b; value = Some v } in
-      Hashtbl.replace p.known slot k;
+      Int_table.replace p.known slot k;
       Proc.write blocks.(mi) k;
       let overtaken = ref 0 in
       for j = 0 to n - 1 do
@@ -144,7 +154,8 @@ module Proposer = struct
         end
       done;
       if !overtaken > 0 then begin
-        Hashtbl.replace p.next_round slot (max (round + 1) ((!overtaken / n) + 1));
+        Int_table.replace p.next_round slot
+          (max (round + 1) ((!overtaken / n) + 1));
         None
       end
       else Some v

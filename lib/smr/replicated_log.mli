@@ -47,7 +47,10 @@ module Slots : sig
       block per member ([R\[s\]\[i\]], SWMR, owner [pids.(i)]) and one
       decision register ([D\[s\]], owner [pids.(s mod n)]).  Registers
       materialize lazily on first touch; [prefix] keeps groups sharing a
-      store apart. *)
+      store apart.  Slots are dense from 0, so the materialized
+      registers sit in {!Mm_core.Int_table}s: finding a slot's
+      registers is an array index, with no hashing on the per-step
+      path. *)
   type 'v t
 
   val create :
@@ -69,7 +72,9 @@ module Slots : sig
 end
 
 module Proposer : sig
-  (** Per-member Disk-Paxos proposer state over a {!Slots.t}. *)
+  (** Per-member Disk-Paxos proposer state over a {!Slots.t}: the last
+      block written and the next round, per slot, both in
+      {!Mm_core.Int_table}s. *)
   type 'v t
 
   val create : 'v Slots.t -> me:int -> 'v t

@@ -56,6 +56,7 @@ let bad =
     ([], [ "kv"; "--gap"; "0" ]);
     ([], [ "kv"; "--gap=-1" ]);
     ([], [ "kv"; "--gap"; "nan" ]);
+    ([], [ "kv"; "--gap"; "1e308" ]);
     ([], [ "kv"; "--reads"; "1.5" ]);
     ([], [ "kv"; "--reads=-0.1" ]);
     ([], [ "kv"; "--reads"; "nan" ]);
@@ -92,6 +93,7 @@ let good =
     ([], [ "experiment"; "--quick"; "E1" ]);
     ([], [ "election"; "-n"; "2"; "--crash"; "0" ]);
     ([], [ "kv"; "--ops"; "0" ]);
+    ([], [ "kv"; "--timeout"; "4611686018427387903" ]);
     ([], [ "mutex"; "--algo"; "mm"; "--entries"; "1" ]);
     ([], [ "check"; "smr"; "--trace"; "0" ]);
     ( [],

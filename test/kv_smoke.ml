@@ -1,7 +1,7 @@
 (* kv_smoke — `dune build @kv-smoke`: drive the sharded KV service
    end-to-end in a few seconds.
 
-   Three legs, each `exit 1` on failure:
+   Four legs, each `exit 1` on failure:
    1. a latency-harness run (2 shards x 3 replicas, open-loop Zipf
       load) that must complete every request, stay slot-consistent,
       and print the per-shard percentile table;
@@ -9,13 +9,21 @@
       must not beat the §5.3 local-read path on read p50;
    3. a 1-trial `kv` sweep through the generic checker, clean and with
       a nemesis timeline (the registry smokes also cover these; here
-      they run even when invoked standalone). *)
+      they run even when invoked standalone);
+   4. a full-size write-failover run (4 shards x 3 replicas, 12k ops,
+      80% puts, two cycles of a shard-0 leader restart then a shard-1
+      leader partition, per-op deadlines): every request completes or
+      expires, the shard logs agree, and every acknowledged put is
+      durable.  It runs the retry clocks, recovery re-claims and expiry
+      at benchmark scale. *)
 
 module Kv = Mm_kv.Kv
 module W = Mm_kv.Workload
 module H = Mm_kv.Histogram
 module Scenario = Mm_check.Scenario
 module Runner = Mm_check.Runner
+module Nemesis = Mm_check.Nemesis
+module Monitor = Mm_check.Monitor
 
 let failed = ref false
 
@@ -78,4 +86,42 @@ let () =
         (if nemesis then "nemesis sweep clean" else "sweep clean")
         (r.Runner.violation = None))
     [ false; true ];
+  let outage = 100_000 in
+  let spec =
+    {
+      W.clients = 1000;
+      ops = 12_000;
+      mean_gap = 100.0;
+      key_space = 1024;
+      theta = 0.9;
+      read_fraction = 0.2;
+    }
+  in
+  let timeline =
+    List.concat_map
+      (fun base ->
+        [
+          { Nemesis.at = base + 100_000; duration = outage; fault = Nemesis.Restart [ 0 ] };
+          {
+            Nemesis.at = base + 350_000;
+            duration = outage;
+            fault = Nemesis.Partition [ [ 3 ]; [ 4; 5 ] ];
+          };
+        ])
+      [ 0; 600_000 ]
+  in
+  let wl = W.gen (Mm_rng.Rng.create 7) spec ~replicas:3 in
+  let o =
+    Kv.run ~seed:7 ~max_steps:5_200_000 ~prepare:(Nemesis.install timeline)
+      ~op_timeout:(3 * outage) ~shards:4 ~replicas:3 ~workload:wl ()
+  in
+  Printf.printf
+    "kv failover: %d/%d completed, %d timeout(s), %d duplicate applies, %d \
+     steps\n"
+    o.Kv.completed spec.W.ops o.Kv.timeouts o.Kv.duplicate_applies
+    o.Kv.run.steps;
+  check "failover: every request completed or expired"
+    (o.Kv.completed + o.Kv.timeouts = spec.W.ops);
+  check "failover: shard logs agree" o.Kv.consistent;
+  check "failover: acked puts durable" (Monitor.is_pass (Monitor.kv_durable o));
   if !failed then exit 1

@@ -103,6 +103,48 @@ let prop_uniform_matches_graph =
           = Mm_graph.Graph.closed_neighborhood g (Id.to_int p))
         (Id.all n))
 
+(* --- Int_table --- *)
+
+module Int_table = Mm_core.Int_table
+
+let test_int_table_basics () =
+  let t : string Int_table.t = Int_table.create () in
+  Alcotest.(check string) "unbound -> default" "none"
+    (Int_table.find_or t 0 ~default:"none");
+  Alcotest.(check bool) "unbound find raises" true
+    (match Int_table.find t 5 with exception Not_found -> true | _ -> false);
+  Int_table.replace t 1000 "far";
+  Int_table.replace t 3 "a";
+  Int_table.replace t 3 "b";
+  Alcotest.(check string) "replaced" "b" (Int_table.find t 3);
+  Alcotest.(check string) "grown past its length" "far" (Int_table.find t 1000);
+  Alcotest.(check string) "gap stays unbound" "none"
+    (Int_table.find_or t 4 ~default:"none");
+  Alcotest.(check string) "negative is unbound" "none"
+    (Int_table.find_or t (-1) ~default:"none");
+  Alcotest.(check bool) "negative replace rejected" true
+    (match Int_table.replace t (-1) "x" with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
+(* Any sequence of replaces reads back like a Hashtbl fed the same
+   sequence, at every key in and around the written range. *)
+let prop_int_table_matches_hashtbl =
+  QCheck.Test.make ~count:200 ~name:"Int_table agrees with Hashtbl"
+    QCheck.(list (pair (int_bound 300) small_int))
+    (fun writes ->
+      let t = Int_table.create () and h = Hashtbl.create 16 in
+      List.iter
+        (fun (k, v) ->
+          Int_table.replace t k v;
+          Hashtbl.replace h k v)
+        writes;
+      List.for_all
+        (fun k ->
+          Int_table.find_or t k ~default:(-1)
+          = Option.value ~default:(-1) (Hashtbl.find_opt h k))
+        (List.init 320 (fun i -> i - 5)))
+
 let () =
   Alcotest.run "mm_core"
     [
@@ -120,5 +162,10 @@ let () =
           Alcotest.test_case "arbitrary + store" `Quick test_arbitrary_domain_store;
           Alcotest.test_case "pp" `Quick test_domain_pp;
           QCheck_alcotest.to_alcotest prop_uniform_matches_graph;
+        ] );
+      ( "int_table",
+        [
+          Alcotest.test_case "basics" `Quick test_int_table_basics;
+          QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl;
         ] );
     ]
