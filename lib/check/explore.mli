@@ -27,7 +27,23 @@ val random_walk : unit -> Mm_sim.Sched.t
 (** [pct ~seed ~n ~k ~depth] builds the weighted PCT adversary for [n]
     processes with [k >= 1] priority levels ([k - 1] change points)
     drawn over the first [depth] steps.  Raises [Invalid_argument] when
-    [k < 1], [n < 1] or [depth < 1]. *)
+    [k < 1], [n < 1] or [depth < 1].
+
+    Weights: the process of rank r (0 lowest) weighs 4^r, and a
+    demotion multiplies by 4^-(n+1).  A double holds 4^511 at most, so
+    for [n > 512] ranks shift down by [n - 512] (the top weighs 4^511),
+    and ranks that would weigh less than the smallest positive double,
+    4^-537 (from [n = 1050] on), weigh that.  A demotion can underflow
+    to weight 0; such a process is picked only when every runnable
+    weight is 0, and the pick is then the highest runnable pid.
+
+    Cost per pick: a binary search, O(log runnable), over the cached
+    prefix sums of the runnable weights.  The sums are recomputed,
+    O(runnable), only when the runnable set changes (the view's
+    [version], see {!Mm_sim.Sched.view}) or at a change point.
+
+    A pick from a view holding a pid outside [\[0, n)] raises
+    [Invalid_argument]. *)
 val pct : seed:int -> n:int -> k:int -> depth:int -> Mm_sim.Sched.t
 
 (** [replay pids] follows the recorded pid list; once the list is

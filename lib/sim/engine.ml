@@ -66,7 +66,9 @@ let max_blocked_backoff = 1024
 
    - [view.runnable]'s valid prefix holds, ascending, exactly the pids
      with [p_status = Ready && not frozen && retry_at <= step]; the
-     [view.mask] bitmap mirrors that prefix (Sched.view_mem reads it).
+     [view.mask] bitmap mirrors that prefix (Sched.view_mem reads it),
+     and [view.version] counts its changes, so a policy can cache what
+     it derives from the runnable set (Explore.pct's weight sums).
    - [ready_n] counts Ready processes ([Ready] implies [has_pending], so
      [ready_n - view.count] is the stalled-but-alive population: frozen
      or backing off).
@@ -81,7 +83,8 @@ let max_blocked_backoff = 1024
    - Due-step gates, so a step pays for a subsystem only when it has
      something due.  [fault_due] is at most the earliest due step in the
      three heaps (lowered on every push, recomputed after a drain); the
-     network keeps its own ([Network.next_wake]).  A drain or tick
+     network keeps its own ([Network.next_wake], which skips links a
+     partition holds until the heal).  A drain or tick
      before its gate opens would find nothing due, so skipping it moves
      no event.  [has_timely] mirrors [Sched.has_timely]: without timely
      processes [note_step] is a no-op. *)
@@ -135,9 +138,10 @@ let lower_bound a count x =
   done;
   !lo
 
-(* Insert/remove pid [i] in the runnable prefix, keeping it ascending and
-   the mask in sync.  Both are no-ops when already in the desired state,
-   so transition call sites don't have to pre-check membership. *)
+(* Insert/remove pid [i] in the runnable prefix, keeping it ascending,
+   the mask in sync and bumping [version] (policies cache on it, see
+   Sched.view).  Both are no-ops when already in the desired state, so
+   transition call sites don't have to pre-check membership. *)
 let rinsert t i =
   let v = t.view in
   if not (Sched.view_mem v i) then begin
@@ -147,6 +151,7 @@ let rinsert t i =
     Array.blit a pos a (pos + 1) (count - pos);
     a.(pos) <- i;
     v.Sched.count <- count + 1;
+    v.Sched.version <- v.Sched.version + 1;
     Bytes.set v.Sched.mask i '\001'
   end
 
@@ -158,6 +163,7 @@ let rremove t i =
     let pos = lower_bound a count i in
     Array.blit a (pos + 1) a pos (count - pos - 1);
     v.Sched.count <- count - 1;
+    v.Sched.version <- v.Sched.version + 1;
     Bytes.set v.Sched.mask i '\000'
   end
 
@@ -228,6 +234,7 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
           count = 0;
           runnable = Array.make n 0;
           mask = Bytes.make n '\000';
+          version = 0;
           steps = (fun i -> procs.(i).steps);
         };
       step = 0;

@@ -3,6 +3,7 @@ type view = {
   mutable count : int;
   runnable : int array;
   mask : Bytes.t;
+  mutable version : int;
   steps : int -> int;
 }
 
@@ -11,7 +12,7 @@ let make_view ?(now = 0) ?(steps = fun _ -> 0) pids =
   let top = Array.fold_left max (-1) runnable in
   let mask = Bytes.make (top + 1) '\000' in
   Array.iter (fun p -> Bytes.set mask p '\001') runnable;
-  { now; count = Array.length runnable; runnable; mask; steps }
+  { now; count = Array.length runnable; runnable; mask; version = 0; steps }
 
 (* O(1): the mask mirrors the valid prefix of [runnable] at all times
    (the engine maintains both together; [make_view] seeds them). *)

@@ -3,10 +3,11 @@
    Two gates:
    1. Dense vs sparse differential — every registered scenario swept on
       every memory backend with the network's dense and then sparse
-      link index, structurally identical reports required.  The sparse
-      index is the default above 64 processes, so this is the
-      observational-equivalence contract that lets small-n seeds keep
-      replaying bit-for-bit.
+      link index, structurally identical reports required; once plain
+      and once with nemesis fault timelines, whose partitions park held
+      links under both indexes.  The sparse index is the default above
+      64 processes, so this is the observational-equivalence contract
+      that lets small-n seeds keep replaying bit-for-bit.
    2. A clean n=256 ring HBO sweep — the O(active) engine at a size the
       dense n² layout priced out of CI, completing with no violation
       inside the budgeted-convergence envelope. *)
@@ -18,7 +19,7 @@ module Scenario = Mm_check.Scenario
 module Registry = Mm_check.Registry
 module Runner = Mm_check.Runner
 
-let params backend =
+let params backend ~nemesis =
   {
     Scenario.default_params with
     graph = Some (B.complete 4);
@@ -28,6 +29,7 @@ let params backend =
     crash_window = Some 5_000;
     warmup = Some 40_000;
     window = Some 8_000;
+    nemesis;
   }
 
 let sweep_with idx sc ~params =
@@ -39,8 +41,9 @@ let sweep_with idx sc ~params =
 let () =
   let failed = ref false in
   List.iter
-    (fun (bname, backend) ->
-      let params = params backend in
+    (fun ((bname, backend), nemesis) ->
+      let bname = if nemesis then bname ^ "+nemesis" else bname in
+      let params = params backend ~nemesis in
       List.iter
         (fun ((module S : Scenario.S) as sc) ->
           let dense = sweep_with `Dense sc ~params in
@@ -57,7 +60,9 @@ let () =
         Registry.all;
       Format.printf "[%s] dense = sparse across %d scenario(s)@." bname
         (List.length Registry.all))
-    Mem.Backend.all;
+    (List.concat_map
+       (fun nemesis -> List.map (fun b -> (b, nemesis)) Mem.Backend.all)
+       [ false; true ]);
   let big =
     Runner.sweep
       (module Mm_check.Scenario_hbo)
