@@ -39,31 +39,48 @@ type op =
    for its quorum. *)
 let ts_zero = (0, 0)
 
+(* Lexicographic [a > b] on timestamps, without polymorphic compare. *)
+let ts_gt ((ca, wa) : ts) ((cb, wb) : ts) = ca > cb || (ca = cb && wa > wb)
+
 let abd_process ~n ~record ~mark_done me script () =
   let mi = Id.to_int me in
   let replica_ts = ref ts_zero in
   let replica_v = ref 0 in
-  (* Quorum accumulators for the operation in flight. *)
-  let acks : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let reads : (int, int * (ts * int)) Hashtbl.t = Hashtbl.create 8 in
+  (* Quorum accumulators for the one round in flight: its uid, the
+     replies counted so far and, for a read round, the highest (ts, v)
+     among them.  [fresh_uid] starts a round and resets them; a reply for
+     any other uid belongs to a finished round and is ignored. *)
+  let next_uid = ref 0 in
+  let cur_uid = ref (-1) in
+  let replies = ref 0 in
+  let best_ts = ref ts_zero in
+  let best_v = ref 0 in
+  let fresh_uid () =
+    incr next_uid;
+    cur_uid := (mi * 1_000_000) + !next_uid;
+    replies := 0;
+    best_ts := (-1, -1);
+    best_v := 0;
+    !cur_uid
+  in
   let handle (src, payload) =
     match payload with
     | Write_req { uid; ts; v } ->
-      if ts > !replica_ts then begin
+      if ts_gt ts !replica_ts then begin
         replica_ts := ts;
         replica_v := v
       end;
       Proc.send src (Write_ack { uid })
     | Read_q { uid } -> Proc.send src (Read_r { uid; ts = !replica_ts; v = !replica_v })
-    | Write_ack { uid } ->
-      let c = Option.value ~default:0 (Hashtbl.find_opt acks uid) in
-      Hashtbl.replace acks uid (c + 1)
+    | Write_ack { uid } -> if uid = !cur_uid then incr replies
     | Read_r { uid; ts; v } ->
-      let c, (bts, bv) =
-        Option.value ~default:(0, ((-1, -1), 0)) (Hashtbl.find_opt reads uid)
-      in
-      let best = if ts > bts then (ts, v) else (bts, bv) in
-      Hashtbl.replace reads uid (c + 1, best)
+      if uid = !cur_uid then begin
+        incr replies;
+        if ts_gt ts !best_ts then begin
+          best_ts := ts;
+          best_v := v
+        end
+      end
     | _ -> ()
   in
   let rec serve_until cond =
@@ -76,22 +93,11 @@ let abd_process ~n ~record ~mark_done me script () =
       end
     end
   in
-  let majority uid tbl count_of =
-    serve_until (fun () ->
-        match Hashtbl.find_opt tbl uid with
-        | Some entry -> 2 * count_of entry > n
-        | None -> false)
-  in
-  let next_uid = ref 0 in
-  let fresh_uid () =
-    incr next_uid;
-    (mi * 1_000_000) + !next_uid
-  in
+  let majority () = serve_until (fun () -> 2 * !replies > n) in
   let write_quorum ts v =
     let uid = fresh_uid () in
     Proc.send_all ~n (Write_req { uid; ts; v });
-    majority uid acks (fun c -> c);
-    uid
+    majority ()
   in
   (* MWMR write: query a majority for the max timestamp, then install
      (max+1, my id) — the Lamport pair makes concurrent writers'
@@ -105,19 +111,18 @@ let abd_process ~n ~record ~mark_done me script () =
       let start = record `Start in
       let uid = fresh_uid () in
       Proc.send_all ~n (Read_q { uid });
-      majority uid reads (fun (c, _) -> c);
-      let _, ((max_c, _), _) = Hashtbl.find reads uid in
-      let ts = (max_c + 1, mi) in
-      ignore (write_quorum ts v);
+      majority ();
+      let ts = (fst !best_ts + 1, mi) in
+      write_quorum ts v;
       ignore (record (`End { proc = mi; kind = `Write v; ts; start_step = start; end_step = 0 }))
     | `Read ->
       let start = record `Start in
       let uid = fresh_uid () in
       Proc.send_all ~n (Read_q { uid });
-      majority uid reads (fun (c, _) -> c);
-      let _, (ts, v) = Hashtbl.find reads uid in
+      majority ();
+      let ts = !best_ts and v = !best_v in
       (* write-back phase: makes concurrent reads linearizable *)
-      ignore (write_quorum ts v);
+      write_quorum ts v;
       ignore (record (`End { proc = mi; kind = `Read v; ts; start_step = start; end_step = 0 }))
   in
   List.iter run_op script;

@@ -13,35 +13,36 @@ type 'a result = {
 }
 
 type 'a t = {
-  members : Id.t array;
-  proposals : 'a option Mem.reg array; (* SWMR, writer = members.(i) *)
-  flags : ('a * bool) option Mem.reg array; (* SWMR, writer = members.(i) *)
+  members : Id.t list; (* sorted; the group's own list *)
+  proposals : 'a option Mem.reg array; (* SWMR, writer = i-th member *)
+  flags : ('a * bool) option Mem.reg array; (* SWMR, writer = i-th member *)
 }
+
+let create_in g ~name =
+  let members = Mem.group_members g in
+  let mk suffix =
+    Array.init (List.length members) (fun i ->
+        Mem.alloc_in g
+          ~name:(String.concat "" [ name; "."; suffix; "["; string_of_int i; "]" ])
+          None)
+  in
+  { members; proposals = mk "prop"; flags = mk "flag" }
 
 let create store ~name ~owner ~participants =
   if participants = [] then invalid_arg "Adopt_commit.create: no participants";
   if not (List.exists (Id.equal owner) participants) then
     invalid_arg "Adopt_commit.create: owner must participate";
-  let members = Array.of_list (List.sort_uniq Id.compare participants) in
-  let shared_with = List.filter (fun p -> not (Id.equal p owner)) (Array.to_list members) in
-  let mk suffix =
-    Array.init (Array.length members) (fun i ->
-        Mem.alloc store
-          ~name:(Printf.sprintf "%s.%s[%d]" name suffix i)
-          ~owner ~shared_with None)
-  in
-  { members; proposals = mk "prop"; flags = mk "flag" }
+  let shared_with = List.filter (fun p -> not (Id.equal p owner)) participants in
+  create_in (Mem.group store ~owner ~shared_with) ~name
 
-let participants t = Array.to_list t.members
+let participants t = t.members
 
 let index_of t me =
-  let rec find i =
-    if i >= Array.length t.members then
-      invalid_arg "Adopt_commit.run: caller is not a participant"
-    else if Id.equal t.members.(i) me then i
-    else find (i + 1)
+  let rec find i = function
+    | [] -> invalid_arg "Adopt_commit.run: caller is not a participant"
+    | p :: rest -> if Id.equal p me then i else find (i + 1) rest
   in
-  find 0
+  find 0 t.members
 
 (* Correctness sketch.  Writes to each array are SWMR and atomic.
 
@@ -66,7 +67,7 @@ let index_of t me =
 let run t v =
   let me = Proc.self () in
   let i = index_of t me in
-  let k = Array.length t.members in
+  let k = Array.length t.proposals in
   Proc.write t.proposals.(i) (Some v);
   let seen = ref [ v ] in
   let all_v = ref true in

@@ -44,6 +44,12 @@ val create :
   participants:Mm_core.Id.t list ->
   'a t
 
+(** [create_in g ~name] allocates the registers from the validated
+    sharing set [g]: hosted at its owner, the participants are its
+    members.  Objects materialized per round from one group cost their
+    register records and no sharing-set validation. *)
+val create_in : Mm_mem.Mem.group -> name:string -> 'a t
+
 val participants : 'a t -> Mm_core.Id.t list
 
 (** [run t v] executes the adopt-commit protocol for the calling process

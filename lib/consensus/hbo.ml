@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Graph = Mm_graph.Graph
 module Network = Mm_net.Network
@@ -48,6 +49,41 @@ let trusted_propose reg v =
         Mem.write reg ~by:me (Some v);
         v)
 
+(* The paper's infinite object arrays RVals[q, k] / PVals[q, k]: one
+   round-indexed table per host q, materialized on first touch.  Every
+   object for q is shared among q's closed neighborhood and hosted at q,
+   so one validated sharing set per host ([host_groups], built on first
+   use) serves all of them. *)
+let host_groups graph store =
+  let groups = Array.make (Graph.order graph) None in
+  fun host ->
+    match groups.(host) with
+    | Some g -> g
+    | None ->
+      let shared_with =
+        List.filter_map
+          (fun q -> if q = host then None else Some (Id.of_int q))
+          (Graph.closed_neighborhood graph host)
+      in
+      let g = Mem.group store ~owner:(Id.of_int host) ~shared_with in
+      groups.(host) <- Some g;
+      g
+
+let round_table ~n ~group prefix make =
+  let tables = Array.init n (fun _ -> Int_table.create ()) in
+  fun host round ->
+    let t = tables.(host) in
+    match Int_table.find t round with
+    | obj -> obj
+    | exception Not_found ->
+      let name =
+        String.concat ""
+          [ prefix; "["; string_of_int host; ","; string_of_int round; "]" ]
+      in
+      let obj = make (group host) name in
+      Int_table.replace t round obj;
+      obj
+
 let make_objects impl graph store =
   match impl with
   | Direct ->
@@ -57,83 +93,54 @@ let make_objects impl graph store =
          requires an edgeless shared-memory graph";
     { rvals = (fun _ _ v -> v); pvals = (fun _ _ v -> v) }
   | Trusted ->
-    let tbl_r : (int * int, int -> int) Hashtbl.t = Hashtbl.create 64 in
-    let tbl_p : (int * int, int option -> int option) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let neighborhood host =
-      List.map Id.of_int (Graph.closed_neighborhood graph host)
-    in
-    let get tbl prefix host round =
-      match Hashtbl.find_opt tbl (host, round) with
-      | Some f -> f
-      | None ->
-        let owner = Id.of_int host in
-        let shared =
-          List.filter (fun p -> not (Id.equal p owner)) (neighborhood host)
-        in
-        let reg =
-          Mem.alloc store
-            ~name:(Printf.sprintf "%s[%d,%d]" prefix host round)
-            ~owner ~shared_with:shared None
-        in
-        let f v = trusted_propose reg v in
-        Hashtbl.add tbl (host, round) f;
-        f
-    in
+    let n = Graph.order graph and group = host_groups graph store in
+    let reg g name = Mem.alloc_in g ~name None in
+    let r = round_table ~n ~group "RVals" reg
+    and p = round_table ~n ~group "PVals" reg in
     {
-      rvals = (fun host round v -> (get tbl_r "RVals" host round) v);
-      pvals = (fun host round v -> (get tbl_p "PVals" host round) v);
+      rvals = (fun host round v -> trusted_propose (r host round) v);
+      pvals = (fun host round v -> trusted_propose (p host round) v);
     }
   | Registers ->
-    let tbl_r : (int * int, int Rand_consensus.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let tbl_p : (int * int, int option Rand_consensus.t) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let make prefix host round =
-      let owner = Id.of_int host in
-      let participants =
-        List.map Id.of_int (Graph.closed_neighborhood graph host)
-      in
-      Rand_consensus.create store
-        ~name:(Printf.sprintf "%s[%d,%d]" prefix host round)
-        ~owner ~participants
-    in
-    let get tbl prefix host round =
-      match Hashtbl.find_opt tbl (host, round) with
-      | Some obj -> obj
-      | None ->
-        let obj = make prefix host round in
-        Hashtbl.add tbl (host, round) obj;
-        obj
-    in
+    let n = Graph.order graph and group = host_groups graph store in
+    let obj g name = Rand_consensus.create_in g ~name in
+    let r = round_table ~n ~group "RVals" obj
+    and p = round_table ~n ~group "PVals" obj in
     {
-      rvals =
-        (fun host round v ->
-          Rand_consensus.propose (get tbl_r "RVals" host round) v);
-      pvals =
-        (fun host round v ->
-          Rand_consensus.propose (get tbl_p "PVals" host round) v);
+      rvals = (fun host round v -> Rand_consensus.propose (r host round) v);
+      pvals = (fun host round v -> Rand_consensus.propose (p host round) v);
     }
 
-(* Message buffering: one bucket per (phase, round), mapping represented
-   process id -> agreed value.  Consensus-object agreement guarantees two
-   senders never report different values for the same id; the assert
-   checks that invariant on every ingest. *)
+(* Message buffering: one bucket per (phase, round), recording for each
+   represented process id its agreed value — absent, 0, 1 or '?' — and
+   how many ids are present and carry 0 or 1, so [await] and
+   [majority_value] read counters.  Consensus-object agreement
+   guarantees two senders never report different values for the same
+   id; the assert checks that invariant on every ingest. *)
+type bucket = {
+  vals : Bytes.t;  (* per id: absent, or [code] of its value *)
+  mutable size : int;
+  mutable zeros : int;
+  mutable ones : int;
+}
+
+let absent = '\000'
+
+let code = function
+  | Some 0 -> '0'
+  | Some 1 -> '1'
+  | None -> '?'
+  | Some _ -> invalid_arg "Hbo: non-binary value"
+
 let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
-  let buckets : (int * int, (int, int option) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let phase_key = function R -> 0 | P -> 1 in
+  let buckets_r = Int_table.create () and buckets_p = Int_table.create () in
   let bucket phase round =
-    let key = (phase_key phase, round) in
-    match Hashtbl.find_opt buckets key with
-    | Some b -> b
-    | None ->
-      let b = Hashtbl.create (2 * n) in
-      Hashtbl.add buckets key b;
+    let t = match phase with R -> buckets_r | P -> buckets_p in
+    match Int_table.find t round with
+    | b -> b
+    | exception Not_found ->
+      let b = { vals = Bytes.make n absent; size = 0; zeros = 0; ones = 0 } in
+      Int_table.replace t round b;
       b
   in
   let ingest () =
@@ -144,9 +151,15 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
           let b = bucket phase round in
           List.iter
             (fun (q, v) ->
-              match Hashtbl.find_opt b q with
-              | None -> Hashtbl.add b q v
-              | Some v' -> assert (v = v'))
+              let c = code v in
+              let c' = Bytes.get b.vals q in
+              if c' = absent then begin
+                Bytes.set b.vals q c;
+                b.size <- b.size + 1;
+                if c = '0' then b.zeros <- b.zeros + 1
+                else if c = '1' then b.ones <- b.ones + 1
+              end
+              else assert (c = c'))
             tuples
         | _ -> ())
       (Proc.receive ())
@@ -155,7 +168,7 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
     let rec go () =
       ingest ();
       let b = bucket phase round in
-      if 2 * Hashtbl.length b > n then b
+      if 2 * b.size > n then b
       else begin
         Proc.yield ();
         go ()
@@ -163,13 +176,9 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
     in
     go ()
   in
-  (* Count ids in the bucket carrying value [v]. *)
-  let count_value b v =
-    Hashtbl.fold (fun _ w acc -> if w = v then acc + 1 else acc) b 0
-  in
   let majority_value b =
-    if 2 * count_value b (Some 0) > n then Some 0
-    else if 2 * count_value b (Some 1) > n then Some 1
+    if 2 * b.zeros > n then Some 0
+    else if 2 * b.ones > n then Some 1
     else None
   in
   let propose_r round v =
@@ -190,10 +199,13 @@ let hbo_process ~n ~nbhd ~objects ~on_decide ~input () =
       decided := true;
       on_decide ~round v
     | Some _ | None -> ());
+    (* Every non-'?' value in a P bucket is the same: each id's value is
+       agreed by its PVals object, and a non-'?' proposal needs a
+       majority of ids carrying it in phase R, where any two majorities
+       share an id. *)
+    assert (pb.zeros = 0 || pb.ones = 0);
     let non_question =
-      Hashtbl.fold
-        (fun _ w acc -> match (acc, w) with None, Some v -> Some v | _ -> acc)
-        pb None
+      if pb.zeros > 0 then Some 0 else if pb.ones > 0 then Some 1 else None
     in
     let next = round + 1 in
     let r_tuples' =

@@ -176,25 +176,60 @@ let live_hosts s = s.live
 
 let domain s = s.dom
 
-let alloc s ~name ~owner ~shared_with init =
+(* A sharing set sorted, deduplicated and checked against the domain
+   once.  Every register allocated from it points at the same [allowed]
+   array and [members] list, so materializing one costs the register
+   record and nothing else. *)
+type group = {
+  g_home : store;
+  g_owner : Id.t;
+  g_allowed : int array;
+  g_members : Id.t list;
+}
+
+let validate s ~owner ~shared_with =
   let members = List.sort_uniq Id.compare (owner :: shared_with) in
-  if not (Domain_.can_share s.dom members) then
+  if Domain_.can_share s.dom members then
+    Some
+      {
+        g_home = s;
+        g_owner = owner;
+        g_allowed = Array.of_list (List.map Id.to_int members);
+        g_members = members;
+      }
+  else None
+
+let group s ~owner ~shared_with =
+  match validate s ~owner ~shared_with with
+  | Some g -> g
+  | None ->
     invalid_arg
-      (Printf.sprintf
-         "Mem.alloc %S: sharing set not permitted by the shared-memory domain"
-         name);
-  let allowed = Array.of_list (List.map Id.to_int members) in
+      "Mem.group: sharing set not permitted by the shared-memory domain"
+
+let group_members g = g.g_members
+
+let alloc_in g ~name init =
+  let s = g.g_home in
   s.regs <- s.regs + 1;
   {
     reg_name = name;
-    reg_owner = owner;
-    allowed;
+    reg_owner = g.g_owner;
+    allowed = g.g_allowed;
     last_ok = -1;
-    member_list = members;
+    member_list = g.g_members;
     home = s;
     tally = s.per_proc;
     value = init;
   }
+
+let alloc s ~name ~owner ~shared_with init =
+  match validate s ~owner ~shared_with with
+  | Some g -> alloc_in g ~name init
+  | None ->
+    invalid_arg
+      (Printf.sprintf
+         "Mem.alloc %S: sharing set not permitted by the shared-memory domain"
+         name)
 
 (* Membership of [i] in the sorted member ids [a]: a short linear scan
    (registers are nearly always small neighborhoods, and the scan is

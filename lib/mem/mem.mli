@@ -150,9 +150,41 @@ val live_hosts : store -> int
 
 val domain : store -> Mm_core.Domain.t
 
-(** [alloc store ~name ~owner ~shared_with init] allocates a register
-    hosted at [owner] and accessible by [owner :: shared_with].
-    Raises [Invalid_argument] when the domain forbids that sharing set. *)
+(** A validated sharing set: an owner and the processes that may access
+    the registers it hosts.  Algorithms that materialize registers per
+    round or per slot (HBO's RVals/PVals objects, the replicated log's
+    slot blocks) build one group per sharing set up front and allocate
+    every register from it.
+
+    Contract:
+    - {!group} sorts and deduplicates [owner :: shared_with] and checks
+      it against the store's domain once; {!alloc_in} checks nothing.
+    - Registers allocated from one group share its owner, its member
+      array and its member list (immutable); each keeps its own value
+      and access memo.  They behave exactly like {!alloc}'s: the same
+      {!owner}, {!members}, access checks, [Access_violation] and
+      accounting, and {!reg_count} counts each one.
+    - A group belongs to the store it was built from. *)
+type group
+
+(** [group store ~owner ~shared_with] validates the sharing set
+    [owner :: shared_with].  Raises [Invalid_argument] when the domain
+    forbids it. *)
+val group :
+  store -> owner:Mm_core.Id.t -> shared_with:Mm_core.Id.t list -> group
+
+(** [g]'s members: its owner and sharing set, sorted, without repeats. *)
+val group_members : group -> Mm_core.Id.t list
+
+(** [alloc_in g ~name init] allocates a register hosted at [g]'s owner
+    and accessible by [g]'s members.  Costs one record; never raises. *)
+val alloc_in : group -> name:string -> 'a -> 'a reg
+
+(** [alloc store ~name ~owner ~shared_with init] is
+    [alloc_in (group store ~owner ~shared_with) ~name init]: it allocates
+    a register hosted at [owner] and accessible by [owner :: shared_with].
+    Raises [Invalid_argument] naming the register when the domain forbids
+    that sharing set. *)
 val alloc :
   store ->
   name:string ->

@@ -40,38 +40,49 @@ let empty_block = { mbal = 0; bal = 0; value = None }
 
 module Slots = struct
   type 'v t = {
-    store : Mem.store;
     pids : Id.t array;
     prefix : string;
+    (* [groups.(i)]: member i's registers, shared with the whole group.
+       Validated once at [create]; every slot allocates from them. *)
+    groups : Mem.group array;
     blocks : 'v block Mem.reg array Int_table.t;
     decisions : 'v option Mem.reg Int_table.t;
   }
 
   let create store ~pids ~prefix =
     if Array.length pids = 0 then invalid_arg "Slots.create: empty group";
+    let groups =
+      Array.map
+        (fun owner ->
+          Mem.group store ~owner
+            ~shared_with:
+              (List.filter
+                 (fun q -> not (Id.equal q owner))
+                 (Array.to_list pids)))
+        pids
+    in
     {
-      store;
       pids;
       prefix;
+      groups;
       blocks = Int_table.create ();
       decisions = Int_table.create ();
     }
 
   let group_size t = Array.length t.pids
 
-  let others t owner =
-    Array.to_list t.pids |> List.filter (fun q -> not (Id.equal q owner))
-
   let blocks t s =
     match Int_table.find t.blocks s with
     | a -> a
     | exception Not_found ->
+      let slot = string_of_int s in
       let a =
         Array.init (Array.length t.pids) (fun i ->
-            let owner = t.pids.(i) in
-            Mem.alloc t.store
-              ~name:(Printf.sprintf "%sR[%d][%d]" t.prefix s i)
-              ~owner ~shared_with:(others t owner) empty_block)
+            Mem.alloc_in t.groups.(i)
+              ~name:
+                (String.concat ""
+                   [ t.prefix; "R["; slot; "]["; string_of_int i; "]" ])
+              empty_block)
       in
       Int_table.replace t.blocks s a;
       a
@@ -80,11 +91,11 @@ module Slots = struct
     match Int_table.find t.decisions s with
     | r -> r
     | exception Not_found ->
-      let owner = t.pids.(s mod Array.length t.pids) in
       let r =
-        Mem.alloc t.store
-          ~name:(Printf.sprintf "%sD[%d]" t.prefix s)
-          ~owner ~shared_with:(others t owner) None
+        Mem.alloc_in
+          t.groups.(s mod Array.length t.pids)
+          ~name:(String.concat "" [ t.prefix; "D["; string_of_int s; "]" ])
+          None
       in
       Int_table.replace t.decisions s r;
       r
@@ -175,24 +186,31 @@ type outcome = {
   run : Engine.summary;
 }
 
-let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me () =
+let log_process ?(recovering = false) ~n ~commands_per_proc ~sm ~alive
+    ~my_commands ~on_apply me () =
   let mi = Id.to_int me in
   let det = Fd.create alive ~me:mi in
   let prop = Proposer.create sm ~me:mi in
+  (* Command-indexed flags: every command is some process's [seq]-th of
+     [commands_per_proc], so [index] is dense and nothing is hashed. *)
+  let index c = (c.issuer * commands_per_proc) + c.seq in
+  let flags () = Bytes.make (n * commands_per_proc) '\000' in
+  let mem set c = Bytes.get set (index c) <> '\000' in
+  let set_flag set c v = Bytes.set set (index c) v in
   (* Commands we are responsible for getting committed. *)
   let pending : command Queue.t = Queue.create () in
   List.iter (fun c -> Queue.add c pending) my_commands;
   (* Commands forwarded to us while we (appear to) lead. *)
   let forwarded : command Queue.t = Queue.create () in
-  let forwarded_set : (command, unit) Hashtbl.t = Hashtbl.create 32 in
+  let forwarded_set = flags () in
   (* The applied log. *)
-  let applied_cmds : (command, unit) Hashtbl.t = Hashtbl.create 32 in
-  let learn_cache : (int, command) Hashtbl.t = Hashtbl.create 32 in
+  let applied_cmds = flags () in
+  let learn_cache : command Int_table.t = Int_table.create () in
   let apply_next = ref 0 in
-  let is_applied c = Hashtbl.mem applied_cmds c in
+  let is_applied c = mem applied_cmds c in
   let apply s c =
     let duplicate = is_applied c in
-    Hashtbl.replace applied_cmds c ();
+    set_flag applied_cmds c '\001';
     on_apply ~slot:s ~cmd:c ~duplicate;
     incr apply_next
   in
@@ -203,9 +221,9 @@ let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me ()
     let progress = ref true in
     while !progress do
       let s = !apply_next in
-      match Hashtbl.find_opt learn_cache s with
-      | Some c -> apply s c
-      | None ->
+      match Int_table.find learn_cache s with
+      | c -> apply s c
+      | exception Not_found ->
         if read_register then begin
           match Slots.read_decided sm s with
           | Some c -> apply s c
@@ -230,7 +248,7 @@ let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me ()
     | None -> (
       match pop forwarded with
       | Some c ->
-        Hashtbl.remove forwarded_set c;
+        set_flag forwarded_set c '\000';
         Some c
       | None -> None)
   in
@@ -239,11 +257,11 @@ let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me ()
       (fun (_src, payload) ->
         match payload with
         | Forward c ->
-          if (not (is_applied c)) && not (Hashtbl.mem forwarded_set c) then begin
-            Hashtbl.replace forwarded_set c ();
+          if (not (is_applied c)) && not (mem forwarded_set c) then begin
+            set_flag forwarded_set c '\001';
             Queue.add c forwarded
           end
-        | Learn (s, c) -> Hashtbl.replace learn_cache s c
+        | Learn (s, c) -> Int_table.replace learn_cache s c
         | _ -> ())
       (Proc.receive ());
     Fd.step det;
@@ -257,7 +275,7 @@ let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me ()
          match Proposer.attempt prop ~slot:s cmd with
          | Some chosen ->
            Slots.write_decision sm s chosen;
-           Hashtbl.replace learn_cache s chosen;
+           Int_table.replace learn_cache s chosen;
            List.iter
              (fun q ->
                if not (Id.equal q me) then Proc.send q (Learn (s, chosen)))
@@ -267,7 +285,7 @@ let log_process ?(recovering = false) ~n ~sm ~alive ~my_commands ~on_apply me ()
            (* Lost the ballot: someone else decided or is deciding this
               slot; catch up from the register before retrying. *)
            (match Slots.read_decided sm s with
-           | Some c -> Hashtbl.replace learn_cache s c
+           | Some c -> Int_table.replace learn_cache s c
            | None -> ());
            Proc.yield ())
      end
@@ -311,15 +329,12 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
   let logs = Array.make n [] in
   (* [until] runs on every engine step, so completion tracking must be
      O(n): count, per process, how many of the commands we are waiting
-     for it has applied. *)
-  let wanted : (command, unit) Hashtbl.t = Hashtbl.create 32 in
-  for pi = 0 to n - 1 do
-    if not crashed.(pi) then
-      for seq = 0 to commands_per_proc - 1 do
-        Hashtbl.replace wanted { issuer = pi; seq } ()
-      done
-  done;
-  let wanted_total = Hashtbl.length wanted in
+     for (every command of a process not planned to crash) it has
+     applied. *)
+  let wanted_total =
+    commands_per_proc
+    * Array.fold_left (fun a c -> if c then a else a + 1) 0 crashed
+  in
   let counts = Array.make n 0 in
   let duplicate_slots = ref 0 in
   List.iter
@@ -331,7 +346,7 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
       let on_apply ~slot ~cmd ~duplicate =
         logs.(pi) <- (slot, cmd) :: logs.(pi);
         if duplicate then incr duplicate_slots
-        else if Hashtbl.mem wanted cmd then counts.(pi) <- counts.(pi) + 1
+        else if not crashed.(cmd.issuer) then counts.(pi) <- counts.(pi) + 1
       in
       (* Host reboot: the incarnation's apply log restarts from slot 0
          (re-applying the decided prefix from the registers), so the
@@ -340,10 +355,10 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
       let recover () =
         logs.(pi) <- [];
         counts.(pi) <- 0;
-        log_process ~recovering:true ~n ~sm ~alive ~my_commands ~on_apply p ()
+        log_process ~recovering:true ~n ~commands_per_proc ~sm ~alive ~my_commands ~on_apply p ()
       in
       Engine.spawn eng p ~recover
-        (log_process ~n ~sm ~alive ~my_commands ~on_apply p))
+        (log_process ~n ~commands_per_proc ~sm ~alive ~my_commands ~on_apply p))
     (Id.all n);
   (match prepare with None -> () | Some f -> f eng);
   let everyone_done () =

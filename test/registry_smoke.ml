@@ -12,10 +12,14 @@
    sweeps each named backend in turn (`all` for every one) and tags each
    report with it (`@backend-smoke`).  --nemesis draws a staged fault
    timeline per trial, exercising Nemesis.gen/install and the
-   graceful-degradation monitors.  Exits 1 if any sweep finds a
-   violation. *)
+   graceful-degradation monitors.  After the registered scenarios, hbo
+   is swept once more with register-built consensus objects
+   ([impl = Registers]: Rand_consensus over Adopt_commit), which the
+   default trusted objects leave unexercised; its report line is tagged
+   [impl=registers].  Exits 1 if any sweep finds a violation. *)
 
 module B = Mm_graph.Builders
+module Hbo = Mm_consensus.Hbo
 module Backend = Mm_mem.Mem.Backend
 module Scenario = Mm_check.Scenario
 module Registry = Mm_check.Registry
@@ -52,12 +56,18 @@ let () =
   List.iter
     (fun (bname, backend) ->
       let params = params backend ~nemesis in
+      let hbo =
+        match Registry.find "hbo" with
+        | Some sc -> sc
+        | None -> failwith "registry_smoke: no hbo scenario"
+      in
       List.iter
-        (fun sc ->
+        (fun (sc, tag, params) ->
           let r = Runner.sweep sc ~master_seed:1 ~budget:1 ~params () in
           if tagged then Format.printf "[%s] " bname;
-          Format.printf "%a" Runner.pp_report r;
+          Format.printf "%s%a" tag Runner.pp_report r;
           if r.Runner.violation <> None then failed := true)
-        Registry.all)
+        (List.map (fun sc -> (sc, "", params)) Registry.all
+        @ [ (hbo, "[impl=registers] ", { params with impl = Hbo.Registers }) ]))
     backends;
   if !failed then exit 1

@@ -320,6 +320,89 @@ let test_memo_miss_allocation () =
         0.0 words)
     [ 3; 16 ]
 
+(* --- validated sharing sets (Mem.group / Mem.alloc_in) --- *)
+
+let test_group_forbidden_set () =
+  let store = Mem.create (Domain.uniform_of_graph (B.path 4)) in
+  Alcotest.check_raises "alloc names the register"
+    (Invalid_argument
+       "Mem.alloc \"bad\": sharing set not permitted by the shared-memory \
+        domain")
+    (fun () ->
+      ignore (Mem.alloc store ~name:"bad" ~owner:(id 0) ~shared_with:[ id 3 ] 0));
+  Alcotest.(check bool) "group rejects" true
+    (match Mem.group store ~owner:(id 0) ~shared_with:[ id 3 ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "nothing allocated" 0 (Mem.reg_count store)
+
+let test_group_matches_alloc () =
+  let store = Mem.create (Domain.uniform_of_graph (B.ring 6)) in
+  (* Unsorted, repeated, owner included: the group normalizes it as
+     [alloc] does. *)
+  let shared_with = [ id 2; id 0; id 2; id 1 ] in
+  let g = Mem.group store ~owner:(id 1) ~shared_with in
+  let a = Mem.alloc_in g ~name:"a" 0 in
+  let b = Mem.alloc_in g ~name:"b" 0 in
+  let c = Mem.alloc store ~name:"c" ~owner:(id 1) ~shared_with 0 in
+  Alcotest.(check int) "reg count counts each" 3 (Mem.reg_count store);
+  Alcotest.(check (list int)) "group members" [ 0; 1; 2 ]
+    (List.map Id.to_int (Mem.group_members g));
+  List.iter
+    (fun r ->
+      Alcotest.(check int) "owner" (Id.to_int (Mem.owner c))
+        (Id.to_int (Mem.owner r));
+      Alcotest.(check (list int)) "members"
+        (List.map Id.to_int (Mem.members c))
+        (List.map Id.to_int (Mem.members r)))
+    [ a; b ];
+  Alcotest.(check string) "own name" "b" (Mem.name b);
+  (* Values and access memos are per register. *)
+  Mem.write a ~by:(id 0) 7;
+  Alcotest.(check int) "a written" 7 (Mem.read a ~by:(id 2));
+  Alcotest.(check int) "b untouched" 0 (Mem.read b ~by:(id 1));
+  List.iter
+    (fun r ->
+      Alcotest.check_raises "read by non-member"
+        (Mem.Access_violation { reg = Mem.name r; by = id 3 })
+        (fun () -> ignore (Mem.read r ~by:(id 3)));
+      Alcotest.check_raises "write by non-member"
+        (Mem.Access_violation { reg = Mem.name r; by = id 5 })
+        (fun () -> Mem.write r ~by:(id 5) 1))
+    [ a; b; c ];
+  (* Accounting is alloc's: the owner's ops local, everyone else's
+     remote (ops so far: a by 0 and 2, b by 1). *)
+  ignore (Mem.read c ~by:(id 1));
+  Mem.write c ~by:(id 0) 3;
+  let t = Mem.total_counters store in
+  Alcotest.(check int) "local" 2 (t.Mem.reads_local + t.Mem.writes_local);
+  Alcotest.(check int) "remote" 3 (t.Mem.reads_remote + t.Mem.writes_remote)
+
+(* Materializing a register from a group allocates its record and
+   nothing else, whatever the sharing set's size: no re-sort, no
+   re-validation, no member array.  The bound is the register record
+   itself (eight fields and a header). *)
+let test_group_alloc_cost () =
+  List.iter
+    (fun n ->
+      let store = Mem.create (Domain.full n) in
+      let g =
+        Mem.group store ~owner:(id 0)
+          ~shared_with:(List.init (n - 1) (fun i -> id (i + 1)))
+      in
+      let count = 10_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to count do
+        ignore (Sys.opaque_identity (Mem.alloc_in g ~name:"r" 0))
+      done;
+      let per_reg = (Gc.minor_words () -. before) /. float_of_int count in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f minor words per register, %d members (<= 9)"
+           per_reg n)
+        true (per_reg <= 9.0);
+      Alcotest.(check int) "reg count" count (Mem.reg_count store))
+    [ 3; 16 ]
+
 let prop_last_write_wins =
   QCheck.Test.make ~name:"register holds last written value" ~count:100
     QCheck.(list (pair (int_range 0 1) int))
@@ -349,6 +432,13 @@ let () =
           Alcotest.test_case "memo-miss reads allocate nothing" `Quick
             test_memo_miss_allocation;
           QCheck_alcotest.to_alcotest prop_last_write_wins;
+        ] );
+      ( "group",
+        [
+          Alcotest.test_case "forbidden set" `Quick test_group_forbidden_set;
+          Alcotest.test_case "registers match alloc's" `Quick
+            test_group_matches_alloc;
+          Alcotest.test_case "allocation bound" `Quick test_group_alloc_cost;
         ] );
       ( "backend",
         [
