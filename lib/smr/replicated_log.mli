@@ -46,13 +46,17 @@ module Slots : sig
   (** One group's per-slot registers: for each slot [s], one proposal
       block per member ([R\[s\]\[i\]], SWMR, owner [pids.(i)]) and one
       decision register ([D\[s\]], owner [pids.(s mod n)]).  Registers
-      materialize lazily on first touch; [prefix] keeps groups sharing a
-      store apart.  Slots are dense from 0, so the materialized
+      materialize lazily on first touch, each allocated from its
+      owner's sharing set ({!Mm_mem.Mem.group}: the owner, shared with
+      the whole group), which [create] validates once per member;
+      [prefix] keeps groups sharing a store apart.  Slots are dense from 0, so the materialized
       registers sit in {!Mm_core.Int_table}s: finding a slot's
       registers is an array index, with no hashing on the per-step
       path. *)
   type 'v t
 
+  (** Raises [Invalid_argument] when [pids] is empty or the store's
+      domain does not let the group share registers. *)
   val create :
     Mm_mem.Mem.store -> pids:Mm_core.Id.t array -> prefix:string -> 'v t
 
