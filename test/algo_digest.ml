@@ -7,14 +7,15 @@
    step (the trace capacity covers the whole run; [Sm_consensus.run]
    records no trace, so its lines pin the outcome and the counters).
    Register reads and writes print the register's name, so the names the
-   HBO objects and the replicated log's slots materialize are pinned
-   too.
+   HBO objects, Paxos's blocks and the replicated log's slots
+   materialize are pinned too.
 
    The golden corpus pins checker trials and the experiment tables pin
    headline counts; this pins the algorithms' own runs: HBO with every
    object implementation that touches memory, on several graph shapes
    and both backends, under PCT and under a stalling partition, plus
-   pure shared-memory consensus, ABD and the replicated log.
+   pure shared-memory consensus, single-decree Paxos under each oracle
+   (crashes and a restart included), ABD and the replicated log.
 
    Regenerate only for a change that means to alter behaviour:
      dune build @runtest --auto-promote *)
@@ -27,6 +28,7 @@ module Engine = Mm_sim.Engine
 module Trace = Mm_sim.Trace
 module Hbo = Mm_consensus.Hbo
 module Sm = Mm_consensus.Sm_consensus
+module Paxos = Mm_consensus.Paxos
 module Explore = Mm_check.Explore
 module Abd = Mm_abd.Abd
 module Log = Mm_smr.Replicated_log
@@ -152,6 +154,64 @@ let sm_runs () =
           o.Sm.run))
     [ ("sm.n5", 8, 5, []); ("sm.n6.crash4", 9, 6, [ (0, 0); (1, 10); (2, 30); (3, 60) ]) ]
 
+(* Each oracle at n = 3 and n = 5 on both backends.  At n = 3 process 0
+   (the static leader) crashes and is restarted, so the recovery boot
+   runs; at n = 5 process 4 crashes for good and process 0 is restarted
+   after a later crash. *)
+let paxos_runs () =
+  let oracles =
+    [
+      ("static", Paxos.Static 0);
+      ("heartbeat", Paxos.Heartbeat);
+      ("anarchy", Paxos.Anarchy);
+    ]
+  in
+  let shapes =
+    [
+      (3, 31, [ (0, 6) ], [ (0, 18) ]);
+      (5, 32, [ (4, 5); (0, 30) ], [ (0, 400) ]);
+    ]
+  in
+  let backends = [ ("nat", Mem.Backend.Native); ("emu", Mem.Backend.Emulated) ] in
+  List.iter
+    (fun (oname, oracle) ->
+      List.iter
+        (fun (n, seed, crashes, restarts) ->
+          List.iter
+            (fun (bname, backend) ->
+              let prepare eng =
+                List.iter
+                  (fun (p, at) -> Engine.restart_at eng (Id.of_int p) at)
+                  restarts
+              in
+              let o =
+                Paxos.run ~seed ~oracle ~max_steps:cap ~trace_capacity:trace_cap
+                  ~crashes ~prepare ~backend ~n ~inputs:(alternating n) ()
+              in
+              line
+                (Printf.sprintf "paxos.%s.n%d.%s" oname n bname)
+                (Printf.sprintf "decided=%d max_ballot=%d restarts=%d"
+                   (Array.fold_left
+                      (fun a d -> if d = None then a else a + 1)
+                      0 o.Paxos.decisions)
+                   o.Paxos.max_ballot
+                   (List.length
+                      (List.filter
+                         (fun ev -> ev.Trace.op = Trace.Restarted)
+                         o.Paxos.run.Engine.trace)))
+                (fun b ->
+                  Array.iteri
+                    (fun i d ->
+                      Printf.bprintf b "p%d decision=%s step=%s\n" i (opt_int d)
+                        (opt_int o.Paxos.decide_step.(i)))
+                    o.Paxos.decisions;
+                  Printf.bprintf b "max_ballot=%d\n" o.Paxos.max_ballot;
+                  render_summary b o.Paxos.run;
+                  o.Paxos.run))
+            backends)
+        shapes)
+    oracles
+
 let abd_runs () =
   let scripts n =
     Array.init n (fun i ->
@@ -233,5 +293,6 @@ let log_runs () =
 let () =
   hbo_runs ();
   sm_runs ();
+  paxos_runs ();
   abd_runs ();
   log_runs ()
