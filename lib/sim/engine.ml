@@ -537,18 +537,16 @@ let at t ~step f =
   in
   t.actions <- ins t.actions
 
-(* Top-level so the per-step call allocates nothing when no actions are
-   pending (the common case). *)
-let rec fire_due t = function
-  | (s, f) :: tl when s <= t.step ->
-    f t;
-    fire_due t tl
-  | rest -> rest
-
-let fire_actions t =
+(* Pops each due action before running it, so an action may register
+   more: one due now fires in this pass, a later one at its step.
+   Top-level so the per-step call allocates nothing. *)
+let rec fire_actions t =
   match t.actions with
-  | [] -> ()
-  | actions -> t.actions <- fire_due t actions
+  | (s, f) :: tl when s <= t.step ->
+    t.actions <- tl;
+    f t;
+    fire_actions t
+  | _ -> ()
 
 let apply_crash t i =
   let p = t.procs.(i) in

@@ -140,8 +140,10 @@ val is_frozen : t -> Mm_core.Id.t -> bool
 (** [at t ~step f] registers a staged action: [f t] runs inside the run
     loop once the global clock reaches [step] (before the next pick).
     Actions fire in (step, registration) order and persist across
-    segmented [run] calls; [Mm_check.Nemesis] compiles fault timelines
-    onto this hook.  Raises [Invalid_argument] on a negative step. *)
+    segmented [run] calls; an action may register more (one due at or
+    before the current step fires in the same pass).
+    [Mm_check.Nemesis] compiles fault timelines onto this hook.  Raises
+    [Invalid_argument] on a negative step. *)
 val at : t -> step:int -> (t -> unit) -> unit
 
 type status =

@@ -215,6 +215,28 @@ let test_at_actions_fire_in_order () =
   Alcotest.(check (list int)) "fired ascending" [ 10; 20; 30 ]
     (List.rev !fired)
 
+(* An action may register further actions: one due later fires at its
+   step, one due now fires in the same pass, and neither displaces an
+   action registered before the run. *)
+let test_at_from_action () =
+  let eng = make ~seed:8 1 in
+  Engine.spawn eng (Id.of_int 0) (fun () ->
+      for _ = 1 to 100 do
+        Proc.yield ()
+      done);
+  let fired = ref [] in
+  let note tag e = fired := (tag, Engine.now e) :: !fired in
+  Engine.at eng ~step:3 (fun e ->
+      note "outer" e;
+      Engine.at e ~step:5 (note "later");
+      Engine.at e ~step:3 (note "now"));
+  Engine.at eng ~step:10 (note "unrelated");
+  ignore (Engine.run eng ~max_steps:200 ());
+  Alcotest.(check (list (pair string int)))
+    "every action fired at its step"
+    [ ("outer", 3); ("now", 3); ("later", 5); ("unrelated", 10) ]
+    (List.rev !fired)
+
 let test_determinism () =
   let run_once seed =
     let eng = make ~seed 4 in
@@ -836,6 +858,7 @@ let () =
           Alcotest.test_case "all frozen advances clock" `Quick
             test_all_frozen_advances_clock;
           Alcotest.test_case "at actions" `Quick test_at_actions_fire_in_order;
+          Alcotest.test_case "at from an action" `Quick test_at_from_action;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "round robin" `Quick test_round_robin;
           Alcotest.test_case "timeliness" `Quick test_timeliness;
