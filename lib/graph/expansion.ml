@@ -39,14 +39,6 @@ let vertex_expansion_exact g =
   in
   best
 
-let ratio_of_subset adj mask count =
-  if count = 0 then infinity
-  else begin
-    let nb = ref 0 in
-    Array.iteri (fun v a -> if mask land (1 lsl v) <> 0 then nb := !nb lor a) adj;
-    float_of_int (popcount (!nb land lnot mask)) /. float_of_int count
-  end
-
 let bfs_order g v =
   let n = Graph.order g in
   let seen = Array.make n false in
@@ -67,54 +59,17 @@ let bfs_order g v =
   done;
   List.rev !order
 
-(* Small-graph sampling over bitmask subsets.  Kept verbatim (draw order
-   and all) for n <= 62: every historical seeded result flows through
-   here, so the big-n generalization below must not perturb it. *)
-let vertex_expansion_sampled_masks rng g ~samples =
+(* The sampled sweep: every prefix of a breadth-first visit order from
+   every start (a connected "ball-ish" set — the low-expansion
+   candidates in structured graphs; on a cycle these are exactly the
+   arcs), plus uniform random subsets of random sizes.  Sets are bool
+   arrays and boundary counts are maintained incrementally as vertices
+   join a set, so a full BFS-prefix sweep from one start is
+   O(n + edges). *)
+let vertex_expansion_sampled rng g ~samples =
   let n = Graph.order g in
-  let adj = adjacency_masks g in
-  let half = n / 2 in
-  let best = ref infinity in
-  let consider mask count =
-    if count >= 1 && count <= half then begin
-      let r = ratio_of_subset adj mask count in
-      if r < !best then best := r
-    end
-  in
-  (* BFS prefixes: every prefix of a breadth-first visit order is a
-     connected "ball-ish" set — the low-expansion candidates in
-     structured graphs (on a cycle these are exactly the arcs). *)
-  for v = 0 to n - 1 do
-    let order = bfs_order g v in
-    let mask = ref 0 in
-    List.iteri
-      (fun i u ->
-        mask := !mask lor (1 lsl u);
-        consider !mask (i + 1))
-      order
-  done;
-  (* Uniform random subsets of random sizes. *)
-  for _ = 1 to samples do
-    let size = 1 + Mm_rng.Rng.int rng (max half 1) in
-    let mask = ref 0 and count = ref 0 in
-    while !count < size do
-      let v = Mm_rng.Rng.int rng n in
-      if !mask land (1 lsl v) = 0 then begin
-        mask := !mask lor (1 lsl v);
-        incr count
-      end
-    done;
-    consider !mask !count
-  done;
-  !best
-
-(* The same sweep — BFS prefixes from every start plus uniform random
-   subsets — on bool arrays instead of bitmasks, for graphs too big to
-   pack a subset into one int.  Boundary counts are maintained
-   incrementally as vertices join a set, so a full BFS-prefix sweep from
-   one start is O(n + edges). *)
-let vertex_expansion_sampled_arrays rng g ~samples =
-  let n = Graph.order g in
+  if n = 0 then
+    invalid_arg "Expansion.vertex_expansion_sampled: empty graph";
   let half = n / 2 in
   let best = ref infinity in
   let consider boundary count =
@@ -165,13 +120,6 @@ let vertex_expansion_sampled_arrays rng g ~samples =
     consider !boundary !count
   done;
   !best
-
-let vertex_expansion_sampled rng g ~samples =
-  let n = Graph.order g in
-  if n = 0 then
-    invalid_arg "Expansion.vertex_expansion_sampled: empty graph";
-  if n <= 62 then vertex_expansion_sampled_masks rng g ~samples
-  else vertex_expansion_sampled_arrays rng g ~samples
 
 (* For every prefix size s, the BFS start whose s-prefix of the visit
    order has the smallest represented count |S ∪ δS| — the certificate

@@ -14,9 +14,9 @@ val vertex_expansion_exact : Graph.t -> float
 
 (** [vertex_expansion_sampled rng g ~samples] is an upper bound on h(G):
     the minimum ratio over [samples] random subsets plus all BFS balls
-    (BFS balls are the natural low-expansion candidates).  Any order >= 1:
-    graphs up to 62 vertices use the historical bitmask path (identical
-    draws and results), larger ones an equivalent array-based sweep. *)
+    (BFS balls are the natural low-expansion candidates).  Any order >= 1;
+    raises [Invalid_argument] on an empty graph.  O(n·(n + edges)) for
+    the balls plus O(n + edges) per sample. *)
 val vertex_expansion_sampled : Mm_rng.Rng.t -> Graph.t -> samples:int -> float
 
 (** [prefix_certificates g] maps each prefix size [s] (entry [s - 1]) to
