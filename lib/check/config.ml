@@ -12,19 +12,8 @@ let float k v = (k, Float v)
 let bool k v = (k, Bool v)
 let str k v = (k, Str v)
 
-let find t k = List.assoc_opt k t
-
-let find_int t k =
-  match find t k with Some (Int v) -> Some v | _ -> None
-
-let find_float t k =
-  match find t k with Some (Float v) -> Some v | _ -> None
-
-let find_bool t k =
-  match find t k with Some (Bool v) -> Some v | _ -> None
-
 let find_str t k =
-  match find t k with Some (Str v) -> Some v | _ -> None
+  match List.assoc_opt k t with Some (Str v) -> Some v | _ -> None
 
 let render = function
   | Int v -> string_of_int v

@@ -26,15 +26,11 @@ val float : string -> float -> entry
 val bool : string -> bool -> entry
 val str : string -> string -> entry
 
-(** {2 Accessors}
+(** {2 Accessors} *)
 
-    Each returns [None] when the key is absent {e or} holds a value of a
-    different type — configs are small, so lookups are linear. *)
-
-val find : t -> string -> value option
-val find_int : t -> string -> int option
-val find_float : t -> string -> float option
-val find_bool : t -> string -> bool option
+(** [find_str t k] is [k]'s string value: [None] when the key is absent
+    {e or} holds a value of another type — configs are small, so the
+    lookup is linear. *)
 val find_str : t -> string -> string option
 
 (** {2 Rendering} *)

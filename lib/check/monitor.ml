@@ -23,21 +23,6 @@ let first_failure monitors o =
       | None -> (match m o with Pass -> None | Fail d -> Some (name, d)))
     None monitors
 
-let no_sends_after ~step events =
-  let offending =
-    List.filter
-      (fun (e : Trace.event) ->
-        e.Trace.step >= step
-        && match e.Trace.op with Trace.Sent _ -> true | _ -> false)
-      events
-  in
-  match offending with
-  | [] -> Pass
-  | e :: _ ->
-    Fail
-      (Format.asprintf "message sent at step %d (>= %d): %a" e.Trace.step step
-         Trace.pp_event e)
-
 let agreement decisions =
   if Decisions.agreement decisions then Pass
   else

@@ -32,13 +32,6 @@ val first_failure :
     backend-specific diagnosis wins. *)
 val emulated_resilience : order:int -> Mm_sim.Engine.summary -> verdict
 
-(** {2 Per-step monitors (over recorded trace events)} *)
-
-(** [no_sends_after ~step events] fails if any [Sent] event is recorded
-    at or after [step] — the steady-state-silence property of Thm 5.1
-    evaluated step by step on the trace. *)
-val no_sends_after : step:int -> Mm_sim.Trace.event list -> verdict
-
 (** {2 Consensus: HBO (Figure 2, Theorems 4.1–4.4) and Paxos}
 
     [agreement] and [validity] judge any run's per-process decisions

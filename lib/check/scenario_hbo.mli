@@ -22,8 +22,3 @@
     by construction and not shrunk. *)
 
 include Scenario.S
-
-(** The Theorem 4.3 crash budget f_max(G) = largest f with
-    f < (1 - 1/(2(1+h(G)))) · n; exact expansion for small graphs,
-    sampled upper bound beyond 16 vertices. *)
-val default_max_crashes : Mm_graph.Graph.t -> int

@@ -49,11 +49,6 @@ module Backend : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Messages one emulated register op injects: two phases, each a
-    broadcast to all [n] replica hosts plus replies from the [live]
-    ones.  Exposed so tests and monitors can pin the exact accounting. *)
-val emulated_round_msgs : n:int -> live:int -> int
-
 type store
 
 (** An atomic read/write register holding values of type ['a]. *)

@@ -185,7 +185,6 @@ let create ~rng ~n ~kind ?(delay = Uniform (1, 4)) ?index () =
 
 let order t = t.n
 let kind t = t.net_kind
-let indexing t = match t.index with Dense _ -> `Dense | Sparse _ -> `Sparse
 
 let notify t ev =
   match t.observer with

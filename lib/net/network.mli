@@ -64,9 +64,6 @@ val create :
     run the same scenario under both indexings. *)
 val set_default_index : [ `Dense | `Sparse ] option -> unit
 
-(** The indexing mode this network was created with. *)
-val indexing : t -> [ `Dense | `Sparse ]
-
 val order : t -> int
 val kind : t -> kind
 
