@@ -13,13 +13,45 @@ type oracle =
 type Mm_net.Message.payload += Paxos_decided of int
 
 (* The per-process Paxos block, stored in one SWMR register. *)
-type block = {
+type 'v block = {
   mbal : int;           (* highest ballot this process joined *)
   bal : int;            (* ballot of the last accepted value *)
-  value : int option;   (* the accepted value *)
+  value : 'v option;    (* the accepted value *)
 }
 
 let empty_block = { mbal = 0; bal = 0; value = None }
+
+(* Reads every block but [me]'s, stopping at the first one that joined a
+   ballot above [b]: returns that ballot, or 0 when nobody overtook [b].
+   [see] is shown every block read below [b]. *)
+let scan blocks ~me ~b see =
+  let over = ref 0 in
+  for j = 0 to Array.length blocks - 1 do
+    if j <> me && !over = 0 then begin
+      let blk = Proc.read blocks.(j) in
+      if blk.mbal > b then over := blk.mbal else see blk
+    end
+  done;
+  !over
+
+let ballot blocks ~me ~b ~known v =
+  (* Phase 1: join ballot b, learn the freshest accepted value. *)
+  let k = { known with mbal = b } in
+  Proc.write blocks.(me) k;
+  let best = ref (k.bal, k.value) in
+  let aborted =
+    scan blocks ~me ~b (fun blk ->
+        if blk.bal > fst !best then best := (blk.bal, blk.value))
+  in
+  if aborted > 0 then (k, Error aborted)
+  else begin
+    let v = match snd !best with Some w -> w | None -> v in
+    (* Phase 2: accept (b, v); confirm nobody overtook us. *)
+    let k = { mbal = b; bal = b; value = Some v } in
+    Proc.write blocks.(me) k;
+    let overtaken = scan blocks ~me ~b ignore in
+    (k, if overtaken > 0 then Error overtaken else Ok v)
+  end
 
 type outcome = {
   decisions : int option array;
@@ -55,7 +87,10 @@ let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
       ~shared_with:(everyone_but (Id.of_int 0))
       None
   in
-  let alive = Mm_election.Register_fd.registers store ~n in
+  let alive =
+    Mm_election.Register_fd.registers store ~pids:(Array.init n Id.of_int)
+      ~prefix:""
+  in
   let decisions = Array.make n None in
   let decide_step = Array.make n None in
   let crashed = Engine.crash_plan eng crashes in
@@ -77,39 +112,11 @@ let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
        register writes never regress [bal] — an accepted (bal, value)
        stays in the block across later ballots, as Disk Paxos requires. *)
     let known = ref empty_block in
-    (* One ballot attempt; Ok v on success, Error overtaking-ballot on
-       abort. *)
     let attempt b =
       if b > !max_ballot then max_ballot := b;
-      known := { !known with mbal = b };
-      Proc.write blocks.(pi) !known;
-      (* Phase 1: join ballot b, learn the freshest accepted value. *)
-      let best = ref (!known.bal, !known.value) in
-      let aborted = ref 0 in
-      for j = 0 to n - 1 do
-        if j <> pi && !aborted = 0 then begin
-          let blk = Proc.read blocks.(j) in
-          if blk.mbal > b then aborted := blk.mbal
-          else if blk.bal > fst !best then best := (blk.bal, blk.value)
-        end
-      done;
-      if !aborted > 0 then Error !aborted
-      else begin
-        let v =
-          match snd !best with Some v -> v | None -> inputs.(pi)
-        in
-        (* Phase 2: accept (b, v); confirm nobody overtook us. *)
-        known := { mbal = b; bal = b; value = Some v };
-        Proc.write blocks.(pi) !known;
-        let overtaken = ref 0 in
-        for j = 0 to n - 1 do
-          if j <> pi && !overtaken = 0 then begin
-            let blk = Proc.read blocks.(j) in
-            if blk.mbal > b then overtaken := blk.mbal
-          end
-        done;
-        if !overtaken > 0 then Error !overtaken else Ok v
-      end
+      let k, result = ballot blocks ~me:pi ~b ~known:!known inputs.(pi) in
+      known := k;
+      result
     in
     let rec main_loop iter round =
       (* React to a published decision: by message (the mailbox wake-up)

@@ -27,6 +27,51 @@
     shared-memory algorithms, but with Paxos's O(n) register ops per
     decision instead of a randomized object's retries. *)
 
+(** {2 The Disk-Paxos ballot}
+
+    The one phase-1/phase-2 loop in the library: {!run} below, the
+    replicated log's per-slot proposer ({!Mm_smr.Replicated_log}) and
+    every KV shard call {!ballot}. *)
+
+(** A proposer's block, stored in its SWMR register: the highest ballot
+    it joined ([mbal]) and its last accepted ballot and value ([bal],
+    [value]). *)
+type 'v block = {
+  mbal : int;
+  bal : int;
+  value : 'v option;
+}
+
+(** The block every register starts from: no ballot joined, nothing
+    accepted. *)
+val empty_block : 'v block
+
+(** [ballot blocks ~me ~b ~known v] runs ballot [b] for member [me] of
+    the group whose blocks are [blocks] (member [j]'s register is
+    [blocks.(j)]).  [known] is [me]'s last written block.
+
+    Phase 1 writes [{known with mbal = b}] and reads the other blocks in
+    member order, stopping at one that joined a higher ballot; otherwise
+    it adopts the value accepted at the highest ballot, [known]'s
+    included, or [v] when none was.  Phase 2 writes [(b, b, chosen)]
+    and reads the other blocks again, stopping the same way.
+
+    Returns the block now in [me]'s register, with [Ok chosen] when no
+    higher ballot appeared (then [chosen] is decided) or [Error b'] with
+    the first higher ballot [b'] seen.  Keeping the returned block as
+    the next [known] never regresses an accepted [(bal, value)], as Disk
+    Paxos requires.  Runs in process context: one write and up to
+    [|blocks| - 1] reads per phase. *)
+val ballot :
+  'v block Mm_mem.Mem.reg array ->
+  me:int ->
+  b:int ->
+  known:'v block ->
+  'v ->
+  'v block * ('v, int) result
+
+(** {2 Single-decree consensus} *)
+
 (** Who believes it leads:
 
     - [Static pid]: an external Ω told everyone [pid] leads from the

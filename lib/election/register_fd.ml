@@ -13,13 +13,16 @@ type t = {
   mutable tick : int;
 }
 
-let registers store ~n =
-  Array.init n (fun i ->
-      let owner = Id.of_int i in
-      let others = List.filter (fun q -> not (Id.equal q owner)) (Id.all n) in
+let registers store ~pids ~prefix =
+  Array.mapi
+    (fun i owner ->
+      let others =
+        List.filter (fun q -> not (Id.equal q owner)) (Array.to_list pids)
+      in
       Mem.alloc store
-        ~name:(Printf.sprintf "ALIVE[%d]" i)
+        ~name:(Printf.sprintf "%sALIVE[%d]" prefix i)
         ~owner ~shared_with:others 0)
+    pids
 
 let create alive ~me =
   let n = Array.length alive in

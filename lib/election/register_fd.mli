@@ -9,25 +9,34 @@
 
     Purely shared-memory: no messages, wait-free, and the registers
     survive crashes.  Under the simulator's schedulers the output
-    stabilizes on the smallest correct id. *)
+    stabilizes on the smallest correct member.  Paxos, the replicated
+    log and every KV shard use this one layout. *)
 
 type t
 
-(** [registers store ~n] allocates the ALIVE array (complete sharing). *)
-val registers : Mm_mem.Mem.store -> n:int -> int Mm_mem.Mem.reg array
+(** [registers store ~pids ~prefix] allocates one group's ALIVE array:
+    register [i] is named [prefix ^ "ALIVE\[i\]"], owned by [pids.(i)]
+    and shared with the rest of [pids] — the layout the replicated
+    log's [Slots.create] uses for its slot registers.
+    Detector indices below are member indices into [pids]. *)
+val registers :
+  Mm_mem.Mem.store ->
+  pids:Mm_core.Id.t array ->
+  prefix:string ->
+  int Mm_mem.Mem.reg array
 
-(** [create alive ~me] builds the local detector state of process [me]. *)
+(** [create alive ~me] builds the local detector state of member [me]. *)
 val create : int Mm_mem.Mem.reg array -> me:int -> t
 
 (** One monitoring step: refresh own heartbeat, probe the next peer.
     Costs 1–2 register operations.  Must run in process context. *)
 val step : t -> unit
 
-(** Current leader hint: the smallest unsuspected id. *)
+(** Current leader hint: the smallest unsuspected member index. *)
 val leader : t -> int
 
 (** Does the caller currently believe it leads? *)
 val am_leader : t -> bool
 
-(** Currently suspected ids (for tests). *)
+(** Currently suspected member indices (for tests). *)
 val suspects : t -> int list

@@ -9,10 +9,6 @@ module Fd = Mm_election.Register_fd
 module Log = Mm_smr.Replicated_log
 module W = Workload
 
-type Mm_net.Message.payload +=
-  | Kv_forward of int        (* request id, shepherd -> leader hint *)
-  | Kv_learn of int * int    (* (slot, request id), intra-shard broadcast *)
-
 type op_record = {
   req : W.request;
   mutable completion : int;
@@ -49,17 +45,18 @@ type outcome = {
    [my_ingress] the request ids (workload order, nondecreasing arrival)
    this replica is the ingress for, [records] the host-global completion
    board every replica shares through its closure (the engine is
-   single-threaded, so host state needs no synchronization).
+   single-threaded, so host state needs no synchronization).  The log
+   itself — learning, applying in slot order, deciding the next slot —
+   is the replicated log's [Learner], deciding request ids.
 
    Request ids are dense in [0, |reqs|), so per-request state is held
-   in arrays of that size; slots and keys are dense from 0 and live in
-   [Int_table]s.  Nothing on this replica's per-step path hashes. *)
+   in arrays of that size; keys are dense from 0 and live in an
+   [Int_table].  Nothing on this replica's per-step path hashes. *)
 let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
     ~local_reads ~reqs ~records ~my_ingress ~retry_rng ~on_apply ~on_complete
     me () =
   let pid = Id.to_int me in
   let det = Fd.create alive ~me:r in
-  let prop = Log.Proposer.create slots ~me:r in
   let ingress_ptr = ref 0 in
   (* Requests we shepherd: log-path ops (puts; gets too without local
      reads) and local-read gets, both kept until observed complete. *)
@@ -70,11 +67,8 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
   let applied = Bytes.make nreqs '\000' in
   let is_set flags id = Bytes.get flags id <> '\000' in
   let set flags id b = Bytes.set flags id (if b then '\001' else '\000') in
-  (* slot -> request id learned for it; absent = -1 *)
-  let learn_cache : int Int_table.t = Int_table.create () in
   (* key -> value; absent = 0, the value of a never-written key *)
   let state : int Int_table.t = Int_table.create () in
-  let apply_next = ref 0 in
   let value_of key = Int_table.find_or state key ~default:0 in
   let done_ id = records.(id).completion >= 0 in
   (* A request needs no more shepherding once it completed — or once its
@@ -106,7 +100,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
       | _ -> Queue.add id my_puts
     end
   in
-  let apply s id =
+  let apply ~slot id =
     let dup = is_set applied id in
     if not dup then begin
       set applied id true;
@@ -120,26 +114,9 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
       in
       on_complete ~shard id ~now:(Engine.now eng) ~value
     end;
-    on_apply ~pid ~slot:s ~id ~dup;
-    incr apply_next
+    on_apply ~pid ~slot ~id ~dup
   in
-  (* Advance the applied prefix from the learn cache, reading the
-     decision register only when asked (reading registers every loop
-     would defeat the message wake-up design). *)
-  let drain ~read_register =
-    let progress = ref true in
-    while !progress do
-      let s = !apply_next in
-      let id = Int_table.find_or learn_cache s ~default:(-1) in
-      if id >= 0 then apply s id
-      else if read_register then begin
-        match Log.Slots.read_decided slots s with
-        | Some id -> apply s id
-        | None -> progress := false
-      end
-      else progress := false
-    done
-  in
+  let learner = Log.Learner.create slots ~me:r ~apply in
   (* Answer every pending local read from the applied state, host-side
      (zero engine steps), in the same step as the catch-up's None
      read. *)
@@ -208,7 +185,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
             if !budget > 0 && retry_due id now then begin
               decr budget;
               retry_bump id now;
-              Proc.send leader_pid (Kv_forward id)
+              Proc.send leader_pid (Log.Forward id)
             end
           end
       done
@@ -220,12 +197,12 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
     List.iter
       (fun (_src, payload) ->
         match payload with
-        | Kv_forward id -> claim id
-        | Kv_learn (s, id) -> Int_table.replace learn_cache s id
+        | Log.Forward id -> claim id
+        | Log.Learn (s, id) -> Log.Learner.learn learner s id
         | _ -> ())
       (Proc.receive ());
     Fd.step det;
-    drain ~read_register:(iter mod 32 = 0);
+    Log.Learner.drain learner ~read_register:(iter mod 32 = 0);
     pull_arrivals ();
     (if Fd.am_leader det then begin
        (* §5.3 leader catch-up: read decision registers until one comes
@@ -234,27 +211,11 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
           linearization instant for the local reads served right
           after. *)
        if local_reads then begin
-         drain ~read_register:true;
+         Log.Learner.drain learner ~read_register:true;
          serve_gets ()
        end;
        match next_put () with
-       | Some id -> (
-         let s = !apply_next in
-         match Log.Proposer.attempt prop ~slot:s id with
-         | Some chosen ->
-           Log.Slots.write_decision slots s chosen;
-           Int_table.replace learn_cache s chosen;
-           Array.iteri
-             (fun j q -> if j <> r then Proc.send q (Kv_learn (s, chosen)))
-             peers;
-           drain ~read_register:false
-         | None ->
-           (* Lost the ballot: catch up from the register before
-              retrying at this slot. *)
-           (match Log.Slots.read_decided slots s with
-           | Some id -> Int_table.replace learn_cache s id
-           | None -> ());
-           Proc.yield ())
+       | Some id -> Log.Learner.propose learner id
        | None -> Proc.yield ()
      end
      else begin
@@ -271,7 +232,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
      ingress pointer restarts at 0, so every arrived-but-open request we
      were shepherding is re-claimed — that re-claim IS the failover
      retry for requests orphaned by our crash. *)
-  if recovering then drain ~read_register:true;
+  if recovering then Log.Learner.drain learner ~read_register:true;
   main_loop 1
 
 let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
@@ -304,15 +265,8 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
   in
   let shard_alive =
     Array.init shards (fun s ->
-        let pids = shard_pids s in
-        Array.init replicas (fun i ->
-            let owner = pids.(i) in
-            let others =
-              Array.to_list pids |> List.filter (fun q -> not (Id.equal q owner))
-            in
-            Mem.alloc store
-              ~name:(Printf.sprintf "S%d/ALIVE[%d]" s i)
-              ~owner ~shared_with:others 0))
+        Fd.registers store ~pids:(shard_pids s)
+          ~prefix:(Printf.sprintf "S%d/" s))
   in
   (* Route each request to (owning shard, drawn ingress replica). *)
   let shard_of_key key = key mod shards in
@@ -459,19 +413,11 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
      as timeouts even if the run stopped for another reason. *)
   check_expiry (Engine.now eng);
   let logs = Array.map List.rev logs in
-  (* Within each shard, no slot may map to two different requests. *)
-  let consistent = ref true in
-  for s = 0 to shards - 1 do
-    let slot_vals : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    for r = 0 to replicas - 1 do
-      List.iter
-        (fun (slot, id) ->
-          match Hashtbl.find_opt slot_vals slot with
-          | None -> Hashtbl.add slot_vals slot id
-          | Some id' -> if id <> id' then consistent := false)
-        logs.((s * replicas) + r)
-    done
-  done;
+  let consistent =
+    List.for_all
+      (fun s -> Log.agree (Array.sub logs (s * replicas) replicas))
+      (List.init shards Fun.id)
+  in
   let run = Engine.summary eng in
   {
     spec = workload.W.spec;
@@ -485,7 +431,7 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
     get_hist;
     put_hist;
     logs;
-    consistent = !consistent;
+    consistent;
     duplicate_applies = !duplicate_applies;
     run;
     total_steps = run.steps;

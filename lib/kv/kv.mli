@@ -3,18 +3,22 @@
     Keys are partitioned across [shards] by [key mod shards]; each shard
     is one independent {!Mm_smr.Replicated_log.Slots} group of
     [replicas] processes (shard [s]'s replicas are engine pids
-    [s * replicas .. s * replicas + replicas - 1]), led by a
-    register-heartbeat failure detector.  An open-loop client population
+    [s * replicas .. s * replicas + replicas - 1], its registers are
+    prefixed [S<s>/]), led by a register-heartbeat failure detector
+    ({!Mm_election.Register_fd}, the same ALIVE layout).  An open-loop client population
     ({!Workload}) injects requests at a drawn ingress replica of the
     owning shard; the ingress replica shepherds each request until it
     completes, re-forwarding it to its current leader hint over
     messages (the hop partitions and freezes actually delay — the
     shard's registers survive both).
 
-    Writes always go through the log: the leader decides the request id
-    into the next free slot with a Disk-Paxos ballot, every replica
-    applies the log in slot order, and at-least-once forwarding is
-    deduplicated at apply time (first occurrence mutates the state).
+    Writes always go through the log: each replica runs the replicated
+    log's {!Mm_smr.Replicated_log.Learner} over request ids — the leader
+    decides the request id into the next free slot with a Disk-Paxos
+    ballot, every replica applies the log in slot order — and
+    at-least-once forwarding is deduplicated at apply time (first
+    occurrence mutates the state).  Forwards and learns are the log's
+    own [Forward]/[Learn] messages.
 
     Reads follow the paper's §5.3 locality rule when [local_reads] is
     on: the leader catches up by reading decision registers until it
@@ -31,8 +35,9 @@
     Cost: a replica's per-step path hashes nothing.  Request ids are
     dense in [\[0, |requests|)], so each replica incarnation keeps its
     per-request state (claimed, applied, retry clock) in arrays of that
-    size — O(replicas x requests) words per run; its learn cache and
-    key-value state are {!Mm_core.Int_table}s over slots and keys. *)
+    size — O(replicas x requests) words per run; its learned slots
+    (in the learner) and its key-value state are {!Mm_core.Int_table}s
+    over slots and keys. *)
 
 module W := Workload
 
@@ -72,7 +77,8 @@ type outcome = {
       (** per engine pid: (slot, request id) applied, in apply order;
           slot numbering is per shard *)
   consistent : bool;
-      (** within every shard, no slot maps to two different requests *)
+      (** within every shard, no slot maps to two different requests
+          ({!Mm_smr.Replicated_log.agree} over the shard's logs) *)
   duplicate_applies : int;
   run : Mm_sim.Engine.summary;  (** steps, costs, crashes, trace *)
   total_steps : int;  (** = [run.steps] *)

@@ -4,8 +4,9 @@
     RDMA state-machine-replication design of the follow-on systems
     (DARE, APUS, Mu), reconstructed from the primitives built here:
 
-    - **slots**: each log position is decided by Disk-Paxos-style
-      ballots over per-slot, per-process SWMR registers (the memory
+    - **slots**: each log position is decided by Disk-Paxos ballots
+      ({!Mm_consensus.Paxos.ballot}, the single-decree protocol's own
+      ballot) over per-slot, per-process SWMR registers (the memory
       side: a new leader recovers in-flight slots by *reading* the
       previous leader's registers, no message round-trips);
     - **Ω**: leadership comes from the register-heartbeat failure
@@ -20,6 +21,8 @@
     own.  Followers keep re-forwarding unacknowledged commands to their
     current leader hint (at-least-once; the log layer deduplicates), so
     commands survive leader changes and message-free steady states.
+    The log decides each command as its dense index
+    [issuer * commands_per_proc + seq].
 
     Safety invariant (checked by {!consistent}): no two processes ever
     apply different commands at the same slot, regardless of crashes,
@@ -35,12 +38,17 @@ val pp_command : Format.formatter -> command -> unit
 
 (** {2 Reusable slot machinery}
 
-    The per-slot register layout and the Disk-Paxos ballot, generalized
-    over the decided value type and over the member pids, so higher
-    layers (the sharded KV service in [Mm_kv]) can run several
-    independent log groups inside one engine.  All [Proc]-touching
-    operations must run in process context; {!Slots.peek_decided} is the
-    host-side exception. *)
+    The per-slot register layout, the per-slot proposer and the learner,
+    generalized over the member pids, so higher layers (the sharded KV
+    service in [Mm_kv]) can run several independent log groups inside
+    one engine.  All [Proc]-touching operations must run in process
+    context; {!Slots.peek_decided} is the host-side exception. *)
+
+(** The log's two messages: [Forward v] asks the leader hint to get [v]
+    decided; [Learn (s, v)] tells a member that slot [s] decided [v]. *)
+type Mm_net.Message.payload +=
+  | Forward of int
+  | Learn of int * int
 
 module Slots : sig
   (** One group's per-slot registers: for each slot [s], one proposal
@@ -76,28 +84,64 @@ module Slots : sig
 end
 
 module Proposer : sig
-  (** Per-member Disk-Paxos proposer state over a {!Slots.t}: the last
-      block written and the next round, per slot, both in
+  (** Per-member proposer state over a {!Slots.t}: the last block
+      written and the next round, per slot, both in
       {!Mm_core.Int_table}s. *)
   type 'v t
 
   val create : 'v Slots.t -> me:int -> 'v t
 
-  (** [attempt p ~slot v] runs one ballot proposing [v] at [slot].
-      [Some chosen] on success — [chosen] may be an adopted earlier
-      proposal rather than [v]; [None] if the ballot was overtaken
-      (retry after catching up from the decision register). *)
+  (** [attempt p ~slot v] runs one {!Mm_consensus.Paxos.ballot} proposing
+      [v] at [slot]: round [r] of member [me] is ballot
+      [r * n + me + 1], starting at round 1.  [Some chosen] on success —
+      [chosen] may be an adopted earlier proposal rather than [v];
+      [None] if the ballot was overtaken (the next attempt at [slot]
+      skips past the overtaking ballot; retry after catching up from
+      the decision register). *)
   val attempt : 'v t -> slot:int -> 'v -> 'v option
+end
+
+module Learner : sig
+  (** One member's view of the log: the slots it has learned (slot →
+      value, in an {!Mm_core.Int_table}), its applied prefix, and its
+      {!Proposer}.  Values are non-negative ints: the replicated log
+      decides command indices, the KV service request ids. *)
+  type t
+
+  (** [create slots ~me ~apply] starts with nothing learned or applied.
+      [apply ~slot v] is called once per slot, in slot order, as the
+      applied prefix passes it. *)
+  val create : int Slots.t -> me:int -> apply:(slot:int -> int -> unit) -> t
+
+  (** [learn l s v] records a [Learn (s, v)] message. *)
+  val learn : t -> int -> int -> unit
+
+  (** [drain l ~read_register] applies learned slots from the applied
+      prefix on; at the first slot not learned it reads that slot's
+      decision register when [read_register] (and goes on if it was
+      decided), else stops. *)
+  val drain : t -> read_register:bool -> unit
+
+  (** [propose l v] runs one ballot for [v] at the first unapplied slot.
+      A win writes the decision register, sends [Learn] to the other
+      members in member order and drains without reading registers; a
+      loss learns the slot from its decision register if it is decided
+      there and yields. *)
+  val propose : t -> int -> unit
 end
 
 (** [leader_hint det] is the failure detector's current leader hint (the
     smallest unsuspected index) — where followers forward commands. *)
 val leader_hint : Mm_election.Register_fd.t -> int
 
+(** [agree logs] holds when no slot maps to two different values across
+    [logs] (each a list of (slot, value) pairs). *)
+val agree : (int * 'v) list array -> bool
+
 type outcome = {
   logs : (int * command) list array;
       (** per process: the (slot, command) pairs it applied, in slot order *)
-  consistent : bool;  (** no cross-process disagreement at any slot *)
+  consistent : bool;  (** [agree logs] *)
   all_committed : bool;
       (** every correct process applied every correct process's commands *)
   slots_used : int;   (** highest applied slot + 1, over all processes *)

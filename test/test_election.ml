@@ -227,7 +227,7 @@ let run_fd ~seed ~n ~crashes ~steps =
     Engine.create ~seed ~domain:(Mm_core.Domain.full n)
       ~link:Net.Reliable ~n ()
   in
-  let alive = Fd.registers (Engine.store eng) ~n in
+  let alive = Fd.registers (Engine.store eng) ~pids:(Array.init n Id.of_int) ~prefix:"" in
   let leaders = Array.make n (-1) in
   List.iter
     (fun p ->
@@ -261,7 +261,7 @@ let test_fd_no_messages () =
     Engine.create ~seed:3 ~domain:(Mm_core.Domain.full 3)
       ~link:Net.Reliable ~n:3 ()
   in
-  let alive = Fd.registers (Engine.store eng) ~n:3 in
+  let alive = Fd.registers (Engine.store eng) ~pids:(Array.init 3 Id.of_int) ~prefix:"" in
   List.iter
     (fun p ->
       Engine.spawn eng p (fun () ->
@@ -277,12 +277,31 @@ let test_fd_no_messages () =
   Alcotest.(check int) "message-free" 0
     Net.((stats (Engine.network eng)).sent)
 
+(* A group need not be processes 0..n-1: member i's register is named by
+   the prefix and member index, owned by pids.(i), shared with the rest
+   of the group only. *)
+let test_fd_group_layout () =
+  let eng =
+    Engine.create ~seed:5 ~domain:(Mm_core.Domain.full 6)
+      ~link:Net.Reliable ~n:6 ()
+  in
+  let pids = [| Id.of_int 3; Id.of_int 4; Id.of_int 5 |] in
+  let alive = Fd.registers (Engine.store eng) ~pids ~prefix:"S1/" in
+  Alcotest.(check (list string)) "names" [ "S1/ALIVE[0]"; "S1/ALIVE[1]"; "S1/ALIVE[2]" ]
+    (Array.to_list (Array.map Mem.name alive));
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int) "owner" (3 + i) (Id.to_int (Mem.owner r));
+      Alcotest.(check (list int)) "shared with the group" [ 3; 4; 5 ]
+        (List.sort compare (List.map Id.to_int (Mem.members r))))
+    alive
+
 let test_fd_suspects_are_reported () =
   let eng =
     Engine.create ~seed:4 ~domain:(Mm_core.Domain.full 3)
       ~link:Net.Reliable ~n:3 ()
   in
-  let alive = Fd.registers (Engine.store eng) ~n:3 in
+  let alive = Fd.registers (Engine.store eng) ~pids:(Array.init 3 Id.of_int) ~prefix:"" in
   let final_suspects = ref [] in
   Engine.spawn eng (Id.of_int 2) (fun () ->
       let det = Fd.create alive ~me:2 in
@@ -367,6 +386,7 @@ let () =
           Alcotest.test_case "skips crashed" `Quick test_fd_skips_crashed;
           Alcotest.test_case "message-free" `Quick test_fd_no_messages;
           Alcotest.test_case "suspects" `Quick test_fd_suspects_are_reported;
+          Alcotest.test_case "group layout" `Quick test_fd_group_layout;
         ] );
       ( "mp-baseline",
         [

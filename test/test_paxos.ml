@@ -164,6 +164,54 @@ let prop_paxos_safety =
       Decisions.agreement o.Paxos.decisions
       && Decisions.validity ~inputs o.Paxos.decisions)
 
+(* One [Paxos.ballot] by member 0 of a three-member group whose other
+   blocks start as given; returns the outcome and member 0's register. *)
+let lone_ballot ~b ~known others v =
+  let n = 3 in
+  let module Id = Mm_core.Id in
+  let eng =
+    Engine.create ~seed:1 ~domain:(Mm_core.Domain.full n) ~link:Net.Reliable
+      ~n ()
+  in
+  let pids = Id.all n in
+  let blocks =
+    Array.init n (fun i ->
+        let owner = Id.of_int i in
+        Mem.alloc (Engine.store eng)
+          ~name:(Printf.sprintf "B[%d]" i)
+          ~owner
+          ~shared_with:(List.filter (fun q -> not (Id.equal q owner)) pids)
+          (if i = 0 then known else others.(i - 1)))
+  in
+  let out = ref None in
+  Engine.spawn eng (Id.of_int 0) (fun () ->
+      out := Some (Paxos.ballot blocks ~me:0 ~b ~known v));
+  ignore (Engine.run eng ~max_steps:100 ());
+  let k, r = Option.get !out in
+  Alcotest.(check bool) "returned block is in the register" true
+    (Mem.peek blocks.(0) = k);
+  (k, r)
+
+let test_ballot_phases () =
+  let open Paxos in
+  let blk mbal bal value = { mbal; bal; value } in
+  (* Nothing accepted anywhere: the proposer's own value is chosen. *)
+  let k, r = lone_ballot ~b:4 ~known:empty_block [| empty_block; empty_block |] 7 in
+  Alcotest.(check bool) "own value" true (r = Ok 7 && k = blk 4 4 (Some 7));
+  (* The value accepted at the highest ballot is adopted. *)
+  let k, r =
+    lone_ballot ~b:9 ~known:(blk 2 2 (Some 1))
+      [| blk 5 3 (Some 30); blk 6 5 (Some 50) |]
+      7
+  in
+  Alcotest.(check bool) "adopts bal 5" true (r = Ok 50 && k = blk 9 9 (Some 50));
+  (* A higher ballot aborts phase 1; the accepted pair stays. *)
+  let k, r =
+    lone_ballot ~b:4 ~known:(blk 1 1 (Some 1)) [| empty_block; blk 8 0 None |] 7
+  in
+  Alcotest.(check bool) "overtaken by 8" true
+    (r = Error 8 && k = blk 4 1 (Some 1))
+
 let () =
   Alcotest.run "mm_paxos"
     [
@@ -185,6 +233,7 @@ let () =
             test_decision_broadcast_wakes_followers;
           Alcotest.test_case "ballot escalation" `Quick
             test_ballots_grow_under_contention;
+          Alcotest.test_case "ballot phases" `Quick test_ballot_phases;
           QCheck_alcotest.to_alcotest prop_paxos_safety;
         ] );
     ]

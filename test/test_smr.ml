@@ -6,6 +6,7 @@ module Engine = Mm_sim.Engine
 module Net = Mm_net.Network
 module Trace = Mm_sim.Trace
 module Nemesis = Mm_check.Nemesis
+module Proc = Mm_sim.Proc
 
 let test_basic_replication () =
   let o = Log.run ~seed:1 ~n:3 ~commands_per_proc:3 () in
@@ -239,6 +240,61 @@ let test_slots_groups_are_independent () =
   Alcotest.(check (option int)) "group B untouched" None
     (Log.Slots.peek_decided b 0)
 
+let test_learner_decides_and_teaches () =
+  (* Member 0 decides two slots; member 1 learns them from Learn
+     messages alone, member 2 (which never reads its mailbox) from the
+     decision registers once member 0 is done. *)
+  let n = 3 in
+  let eng =
+    Engine.create ~seed:5 ~domain:(Domain_.full n) ~link:Net.Reliable ~n ()
+  in
+  let slots =
+    Log.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
+      ~prefix:"L/"
+  in
+  let applied = Array.make n [] in
+  let learner me =
+    Log.Learner.create slots ~me ~apply:(fun ~slot v ->
+        applied.(me) <- (slot, v) :: applied.(me))
+  in
+  let leader_done = ref false in
+  Engine.spawn eng (Id.of_int 0) (fun () ->
+      let l = learner 0 in
+      Log.Learner.propose l 5;
+      Log.Learner.propose l 9;
+      leader_done := true);
+  Engine.spawn eng (Id.of_int 1) (fun () ->
+      let l = learner 1 in
+      while List.length applied.(1) < 2 do
+        List.iter
+          (fun (_, m) ->
+            match m with Log.Learn (s, v) -> Log.Learner.learn l s v | _ -> ())
+          (Proc.receive ());
+        Log.Learner.drain l ~read_register:false;
+        Proc.yield ()
+      done);
+  Engine.spawn eng (Id.of_int 2) (fun () ->
+      while not !leader_done do
+        Proc.yield ()
+      done;
+      Log.Learner.drain (learner 2) ~read_register:true);
+  ignore (Engine.run eng ~max_steps:5_000 ());
+  Array.iteri
+    (fun me log ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "member %d applied both slots" me)
+        [ (0, 5); (1, 9) ] (List.rev log))
+    applied
+
+let test_agree () =
+  Alcotest.(check bool) "no logs" true (Log.agree [||]);
+  Alcotest.(check bool) "prefixes of one log" true
+    (Log.agree [| [ (0, 1); (1, 2) ]; [ (0, 1) ]; [] |]);
+  Alcotest.(check bool) "slot 1 split across logs" false
+    (Log.agree [| [ (0, 1); (1, 2) ]; [ (0, 1); (1, 3) ] |]);
+  Alcotest.(check bool) "slot 0 split within a log" false
+    (Log.agree [| [ (0, 1); (0, 2) ] |])
+
 let prop_smr_safety =
   QCheck.Test.make ~name:"replicated log: consistency over random runs"
     ~count:25
@@ -277,5 +333,8 @@ let () =
             test_dueling_proposers_agree;
           Alcotest.test_case "groups independent" `Quick
             test_slots_groups_are_independent;
+          Alcotest.test_case "learner decides and teaches" `Quick
+            test_learner_decides_and_teaches;
+          Alcotest.test_case "agree" `Quick test_agree;
         ] );
     ]
