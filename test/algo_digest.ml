@@ -15,7 +15,9 @@
    object implementation that touches memory, on several graph shapes
    and both backends, under PCT and under a stalling partition, plus
    pure shared-memory consensus, single-decree Paxos under each oracle
-   (crashes and a restart included), ABD and the replicated log.
+   (crashes and a restart included), ABD, the replicated log and the Ω
+   of Figure 3 over reliable and fair-lossy links (the lossy lines pin
+   the names of the Figure 5 notification registers).
 
    Regenerate only for a change that means to alter behaviour:
      dune build @runtest --auto-promote *)
@@ -32,6 +34,7 @@ module Paxos = Mm_consensus.Paxos
 module Explore = Mm_check.Explore
 module Abd = Mm_abd.Abd
 module Log = Mm_smr.Replicated_log
+module Omega = Mm_election.Omega
 
 let opt_int = function None -> "-" | Some v -> string_of_int v
 
@@ -290,9 +293,70 @@ let log_runs () =
       ("smr.emu.restart", 23, Mem.Backend.Emulated, [ (1, 600) ], [ (1, 1800) ]);
     ]
 
+(* Figure 3 under both notification mechanisms and both backends, with a
+   short warmup and window: crash-free, the timely process crashing, a
+   crash followed by a restart, and an omission-faulty host memory. *)
+let omega_runs () =
+  let variants =
+    [ ("rel", Omega.Reliable); ("lossy", Omega.Fair_lossy 0.2) ]
+  in
+  let faults =
+    [
+      ("plain", 41, [], [], []);
+      ("crash", 42, [ (0, 700) ], [], []);
+      ("restart", 43, [ (1, 300) ], [ (1, 900) ], []);
+      ("memfail", 44, [], [], [ (0, 600) ]);
+    ]
+  in
+  let backends = [ ("nat", Mem.Backend.Native); ("emu", Mem.Backend.Emulated) ] in
+  List.iter
+    (fun (vname, variant) ->
+      List.iter
+        (fun (fname, seed, crashes, restarts, memory_failures) ->
+          List.iter
+            (fun (bname, backend) ->
+              let prepare eng =
+                List.iter
+                  (fun (p, at) -> Engine.restart_at eng (Id.of_int p) at)
+                  restarts
+              in
+              let o =
+                Omega.run ~seed ~trace_capacity:trace_cap ~crashes
+                  ~memory_failures ~prepare ~warmup:2_000 ~window:1_000
+                  ~backend ~variant ~n:4 ()
+              in
+              line
+                (Printf.sprintf "omega.%s.%s.%s" vname fname bname)
+                (Printf.sprintf "leader=%s changes=%d holds=%b"
+                   (opt_int o.Omega.agreed_leader)
+                   o.Omega.total_changes (Omega.holds o))
+                (fun b ->
+                  let p fmt = Printf.bprintf b fmt in
+                  Array.iteri
+                    (fun i l -> p "p%d leader=%s\n" i (opt_int l))
+                    o.Omega.final_leaders;
+                  let w = o.Omega.window_net in
+                  p "last_change=%d changes=%d window_start=%d emu=%d \
+                     window sent=%d delivered=%d dropped=%d in_flight=%d\n"
+                    o.Omega.last_change_step o.Omega.total_changes
+                    o.Omega.window_start o.Omega.window_emu_msgs
+                    w.Network.sent w.Network.delivered w.Network.dropped
+                    w.Network.in_flight;
+                  Array.iteri
+                    (fun i c ->
+                      p "p%d window %s\n" i
+                        (Format.asprintf "%a" Mem.pp_counters c))
+                    o.Omega.window_mem;
+                  render_summary b o.Omega.run;
+                  o.Omega.run))
+            backends)
+        faults)
+    variants
+
 let () =
   hbo_runs ();
   sm_runs ();
   paxos_runs ();
   abd_runs ();
-  log_runs ()
+  log_runs ();
+  omega_runs ()
