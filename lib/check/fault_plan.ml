@@ -1,4 +1,5 @@
 module Rng = Mm_rng.Rng
+module Decimal = Mm_core.Decimal
 module Backend = Mm_mem.Mem.Backend
 
 (* Default crash budget per backend.  Emulated registers only stay
@@ -157,10 +158,14 @@ let resilience spec run =
 let fmt_crashes = function
   | [] -> "none"
   | cs ->
-    String.concat " " (List.map (fun (p, s) -> Printf.sprintf "p%d@%d" p s) cs)
+    String.concat " "
+      (List.map
+         (fun (p, s) ->
+           String.concat "" [ "p"; Decimal.of_int p; "@"; Decimal.of_int s ])
+         cs)
 
 let sched_desc k =
-  if k = 0 then "random-walk" else Printf.sprintf "pct(k=%d)" k
+  if k = 0 then "random-walk" else "pct(k=" ^ Decimal.of_int k ^ ")"
 
 let config ?(between = []) (spec : spec) t =
   let line on key v = if on then [ Config.str key v ] else [] in

@@ -1,4 +1,5 @@
 module Hbo = Mm_consensus.Hbo
+module Decimal = Mm_core.Decimal
 module Paxos = Mm_consensus.Paxos
 module Decisions = Mm_consensus.Decisions
 module Engine = Mm_sim.Engine
@@ -213,10 +214,17 @@ let paxos_termination (o : Paxos.outcome) =
   | [] -> Pass
   | undecided ->
     Fail
-      (Printf.sprintf
-         "correct process(es) %s undecided after %d steps (max ballot %d)"
-         (String.concat "," (List.map (Printf.sprintf "p%d") undecided))
-         o.Paxos.run.steps o.Paxos.max_ballot)
+      (String.concat ""
+         [
+           "correct process(es) ";
+           String.concat ","
+             (List.map (fun p -> "p" ^ Decimal.of_int p) undecided);
+           " undecided after ";
+           Decimal.of_int o.Paxos.run.steps;
+           " steps (max ballot ";
+           Decimal.of_int o.Paxos.max_ballot;
+           ")";
+         ])
 
 let mutex_exclusion (o : Mutex.outcome) =
   if o.Mutex.safety_violations = 0 then Pass
@@ -248,10 +256,21 @@ let mutex_progress ~entries (o : Mutex.outcome) =
   | [] -> Pass
   | ls ->
     Fail
-      (Printf.sprintf "process(es) %s completed fewer than %d entries in %d steps"
-         (String.concat " "
-            (List.map (fun (i, e) -> Printf.sprintf "p%d=%d" i e) ls))
-         entries o.Mutex.run.steps)
+      (String.concat ""
+         [
+           "process(es) ";
+           String.concat " "
+             (List.map
+                (fun (i, e) ->
+                  String.concat ""
+                    [ "p"; Decimal.of_int i; "="; Decimal.of_int e ])
+                ls);
+           " completed fewer than ";
+           Decimal.of_int entries;
+           " entries in ";
+           Decimal.of_int o.Mutex.run.steps;
+           " steps";
+         ])
 
 let smr_consistent (o : Log.outcome) =
   if o.Log.consistent then Pass
@@ -435,7 +454,11 @@ let smr_committed (o : Log.outcome) =
   if o.Log.all_committed then Pass
   else
     Fail
-      (Printf.sprintf
-         "not every correct process applied every correct command after %d \
-          steps (%d slot(s) used)"
-         o.Log.run.steps o.Log.slots_used)
+      (String.concat ""
+         [
+           "not every correct process applied every correct command after ";
+           Decimal.of_int o.Log.run.steps;
+           " steps (";
+           Decimal.of_int o.Log.slots_used;
+           " slot(s) used)";
+         ])

@@ -14,7 +14,7 @@ type outcome = Paxos.outcome
 let oracle_desc = function
   | Paxos.Heartbeat -> "heartbeat"
   | Paxos.Anarchy -> "anarchy"
-  | Paxos.Static l -> Printf.sprintf "static(p%d)" l
+  | Paxos.Static l -> "static(p" ^ Mm_core.Decimal.of_int l ^ ")"
 
 (* No drops — Paxos messages are not retransmitted.  Restarted
    proposers re-read their own block and the decision register, so

@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Mem = Mm_mem.Mem
 module Proc = Mm_sim.Proc
 
@@ -23,7 +24,8 @@ let create_in g ~name =
   let mk suffix =
     Array.init (List.length members) (fun i ->
         Mem.alloc_in g
-          ~name:(String.concat "" [ name; "."; suffix; "["; string_of_int i; "]" ])
+          ~name:
+            (String.concat "" [ name; "."; suffix; "["; Decimal.of_int i; "]" ])
           None)
   in
   { members; proposals = mk "prop"; flags = mk "flag" }

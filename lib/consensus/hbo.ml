@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Graph = Mm_graph.Graph
@@ -78,7 +79,7 @@ let round_table ~n ~group prefix make =
     | exception Not_found ->
       let name =
         String.concat ""
-          [ prefix; "["; string_of_int host; ","; string_of_int round; "]" ]
+          [ prefix; "["; Decimal.of_int host; ","; Decimal.of_int round; "]" ]
       in
       let obj = make (group host) name in
       Int_table.replace t round obj;

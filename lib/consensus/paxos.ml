@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
 module Mem = Mm_mem.Mem
@@ -74,23 +75,16 @@ let run ?(seed = 1) ?(oracle = Heartbeat) ?(max_steps = 2_000_000)
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
   let store = Engine.store eng in
-  let everyone_but p = List.filter (fun q -> not (Id.equal q p)) (Id.all n) in
+  let pids = Array.init n Id.of_int in
+  let groups = Mem.peer_groups store pids in
   let blocks =
     Array.init n (fun i ->
-        let owner = Id.of_int i in
-        Mem.alloc store
-          ~name:(Printf.sprintf "R[%d]" i)
-          ~owner ~shared_with:(everyone_but owner) empty_block)
+        Mem.alloc_in groups.(i)
+          ~name:("R[" ^ Decimal.of_int i ^ "]")
+          empty_block)
   in
-  let decision =
-    Mem.alloc store ~name:"D" ~owner:(Id.of_int 0)
-      ~shared_with:(everyone_but (Id.of_int 0))
-      None
-  in
-  let alive =
-    Mm_election.Register_fd.registers store ~pids:(Array.init n Id.of_int)
-      ~prefix:""
-  in
+  let decision = Mem.alloc_in groups.(0) ~name:"D" None in
+  let alive = Mm_election.Register_fd.registers store ~pids ~prefix:"" in
   let decisions = Array.make n None in
   let decide_step = Array.make n None in
   let crashed = Engine.crash_plan eng crashes in

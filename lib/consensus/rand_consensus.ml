@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Int_table = Mm_core.Int_table
 module Mem = Mm_mem.Mem
 module Proc = Mm_sim.Proc
@@ -21,7 +22,7 @@ let create_in g ~name =
   let decisions =
     Array.init (List.length members) (fun i ->
         Mem.alloc_in g
-          ~name:(String.concat "" [ name; ".dec["; string_of_int i; "]" ])
+          ~name:(String.concat "" [ name; ".dec["; Decimal.of_int i; "]" ])
           None)
   in
   { name; group = g; members; decisions; rounds = Int_table.create () }
@@ -44,7 +45,7 @@ let round_object t r =
   | exception Not_found ->
     let ac =
       Adopt_commit.create_in t.group
-        ~name:(String.concat "" [ t.name; ".ac["; string_of_int r; "]" ])
+        ~name:(String.concat "" [ t.name; ".ac["; Decimal.of_int r; "]" ])
     in
     Int_table.replace t.rounds r ac;
     ac

@@ -68,6 +68,12 @@ let rec sublist_sorted xs ys =
     else if c > 0 then sublist_sorted xs yt
     else false
 
+(* Whether some candidate S_p, p in [cands], holds the ascending [ids]. *)
+let rec some_superset host ids = function
+  | [] -> false
+  | p :: rest ->
+    sublist_sorted ids host.(Id.to_int p) || some_superset host ids rest
+
 let can_share t ids =
   match (t.host, ids) with
   | Some host, m0 :: _ when Id.to_int m0 < t.n ->
@@ -75,11 +81,9 @@ let can_share t ids =
        neighborhoods of an undirected graph are symmetric (p ∈ S_q iff
        q ∈ S_p).  Only the |S_{m0}| candidate sets need the subset test
        — O(degree²) per query instead of a scan of all n member sets,
-       which is what keeps register allocation flat as n grows. *)
-    let sorted = List.sort_uniq Id.compare ids in
-    List.exists
-      (fun p -> sublist_sorted sorted host.(Id.to_int p))
-      host.(Id.to_int m0)
+       which is what keeps register allocation flat as n grows.  [ids]
+       is ascending by contract, so the merge test runs on it as is. *)
+    some_superset host ids host.(Id.to_int m0)
   | _ ->
     let query = Id.Set.of_list ids in
     List.exists (fun s -> Id.Set.subset query s) t.member_sets

@@ -32,7 +32,12 @@ val order : t -> int
 val sets : t -> Id.t list list
 
 (** [can_share t ids] holds when some S ∈ S contains all of [ids]: a
-    register shared among [ids] is permitted by the domain. *)
+    register shared among [ids] is permitted by the domain.
+
+    Contract: [ids] is strictly ascending (sorted, without repeats) —
+    {!Mm_mem.Mem} hands it a validated member list.  The check then
+    runs on the list as given, with no sort or copy; on a list that
+    breaks the contract the answer is unspecified. *)
 val can_share : t -> Id.t list -> bool
 
 (** [set_of t p] is the closed neighborhood S_p for a uniform domain —

@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Mem = Mm_mem.Mem
 module Proc = Mm_sim.Proc
 
@@ -33,24 +34,21 @@ type lossy_registers = {
   notifies : bool Mem.reg array array;     (* NOTIFIES[p][q], owner p *)
 }
 
-let alloc_lossy store ~n =
-  let everyone_but p =
-    List.filter (fun q -> not (Id.equal q p)) (Id.all n)
-  in
+let alloc_lossy groups =
+  let n = Array.length groups in
   let notifications =
-    Array.init n (fun p ->
-        let owner = Id.of_int p in
-        Mem.alloc store
-          ~name:(Printf.sprintf "NOTIFICATIONS[%d]" p)
-          ~owner ~shared_with:(everyone_but owner) false)
+    Array.mapi
+      (fun p g ->
+        Mem.alloc_in g ~name:("NOTIFICATIONS[" ^ Decimal.of_int p ^ "]") false)
+      groups
   in
   let notifies =
-    Array.init n (fun p ->
-        let owner = Id.of_int p in
+    Array.mapi
+      (fun p g ->
+        let row = "NOTIFIES[" ^ Decimal.of_int p ^ "][" in
         Array.init n (fun q ->
-            Mem.alloc store
-              ~name:(Printf.sprintf "NOTIFIES[%d][%d]" p q)
-              ~owner ~shared_with:(everyone_but owner) false))
+            Mem.alloc_in g ~name:(row ^ Decimal.of_int q ^ "]") false))
+      groups
   in
   { notifications; notifies }
 

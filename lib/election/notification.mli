@@ -34,9 +34,11 @@ val reliable : me:Mm_core.Id.t -> t
 (** Shared registers of the Figure 5 mechanism (one set per system). *)
 type lossy_registers
 
-(** Allocate NOTIFICATIONS[p] and NOTIFIES[p][q] for all p, q.  The
-    store's domain must allow full sharing (§5 assumes complete G_SM). *)
-val alloc_lossy : Mm_mem.Mem.store -> n:int -> lossy_registers
+(** [alloc_lossy groups] allocates NOTIFICATIONS[p] and NOTIFIES[p][q]
+    for all p, q from [groups], the {!Mm_mem.Mem.peer_groups} of all n
+    processes (§5 assumes complete G_SM): every register of row p comes
+    from group p, so the n² registers cost one validation. *)
+val alloc_lossy : Mm_mem.Mem.group array -> lossy_registers
 
 (** The Figure 5 register-based mechanism for process [me]. *)
 val lossy : lossy_registers -> me:Mm_core.Id.t -> t

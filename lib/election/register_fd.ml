@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Mem = Mm_mem.Mem
 module Proc = Mm_sim.Proc
 
@@ -15,14 +16,11 @@ type t = {
 
 let registers store ~pids ~prefix =
   Array.mapi
-    (fun i owner ->
-      let others =
-        List.filter (fun q -> not (Id.equal q owner)) (Array.to_list pids)
-      in
-      Mem.alloc store
-        ~name:(Printf.sprintf "%sALIVE[%d]" prefix i)
-        ~owner ~shared_with:others 0)
-    pids
+    (fun i g ->
+      Mem.alloc_in g
+        ~name:(String.concat "" [ prefix; "ALIVE["; Decimal.of_int i; "]" ])
+        0)
+    (Mem.peer_groups store pids)
 
 let create alive ~me =
   let n = Array.length alive in

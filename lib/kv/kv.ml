@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
@@ -257,16 +258,17 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
       reqs
   in
   let shard_pids s = Array.init replicas (fun r -> Id.of_int ((s * replicas) + r)) in
+  let shard_prefix =
+    Array.init shards (fun s -> "S" ^ Decimal.of_int s ^ "/")
+  in
   let shard_slots =
     Array.init shards (fun s ->
-        (Log.Slots.create store ~pids:(shard_pids s)
-           ~prefix:(Printf.sprintf "S%d/" s)
+        (Log.Slots.create store ~pids:(shard_pids s) ~prefix:shard_prefix.(s)
           : int Log.Slots.t))
   in
   let shard_alive =
     Array.init shards (fun s ->
-        Fd.registers store ~pids:(shard_pids s)
-          ~prefix:(Printf.sprintf "S%d/" s))
+        Fd.registers store ~pids:(shard_pids s) ~prefix:shard_prefix.(s))
   in
   (* Route each request to (owning shard, drawn ingress replica). *)
   let shard_of_key key = key mod shards in

@@ -187,24 +187,57 @@ type group = {
   g_members : Id.t list;
 }
 
+(* [owner :: shared_with] sorted and without repeats, in one pass when
+   [shared_with] is strictly ascending — every caller's is (a filter over
+   [Id.all n], a member array, a graph neighborhood).  The owner is
+   merged in where it belongs and the tail above it is shared, not
+   copied; a list that is not strictly ascending raises [Exit] and falls
+   back to a sort. *)
+let rec ascending_from x = function
+  | [] -> true
+  | y :: rest -> Id.to_int x < Id.to_int y && ascending_from y rest
+
+let rec merge_owner owner prev = function
+  | [] -> [ owner ]
+  | x :: rest as l ->
+    let xi = Id.to_int x in
+    if xi <= prev then raise_notrace Exit
+    else if xi < Id.to_int owner then x :: merge_owner owner xi rest
+    else if not (ascending_from x rest) then raise_notrace Exit
+    else if xi = Id.to_int owner then l
+    else owner :: l
+
+let members_of ~owner shared_with =
+  match merge_owner owner (-1) shared_with with
+  | members -> members
+  | exception Exit -> List.sort_uniq Id.compare (owner :: shared_with)
+
+exception Forbidden
+
 let validate s ~owner ~shared_with =
-  let members = List.sort_uniq Id.compare (owner :: shared_with) in
-  if Domain_.can_share s.dom members then
-    Some
-      {
-        g_home = s;
-        g_owner = owner;
-        g_allowed = Array.of_list (List.map Id.to_int members);
-        g_members = members;
-      }
-  else None
+  let members = members_of ~owner shared_with in
+  if not (Domain_.can_share s.dom members) then raise_notrace Forbidden;
+  {
+    g_home = s;
+    g_owner = owner;
+    g_allowed = Array.of_list (members :> int list);
+    g_members = members;
+  }
 
 let group s ~owner ~shared_with =
   match validate s ~owner ~shared_with with
-  | Some g -> g
-  | None ->
+  | g -> g
+  | exception Forbidden ->
     invalid_arg
       "Mem.group: sharing set not permitted by the shared-memory domain"
+
+(* Every owner's sharing set is the whole of [pids], so one validation
+   serves them all; the groups differ only in their owner. *)
+let peer_groups s pids =
+  if Array.length pids = 0 then [||]
+  else
+    let g = group s ~owner:pids.(0) ~shared_with:(Array.to_list pids) in
+    Array.map (fun owner -> { g with g_owner = owner }) pids
 
 let group_members g = g.g_members
 
@@ -224,8 +257,8 @@ let alloc_in g ~name init =
 
 let alloc s ~name ~owner ~shared_with init =
   match validate s ~owner ~shared_with with
-  | Some g -> alloc_in g ~name init
-  | None ->
+  | g -> alloc_in g ~name init
+  | exception Forbidden ->
     invalid_arg
       (Printf.sprintf
          "Mem.alloc %S: sharing set not permitted by the shared-memory domain"

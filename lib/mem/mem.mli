@@ -154,6 +154,11 @@ val domain : store -> Mm_core.Domain.t
     Contract:
     - {!group} sorts and deduplicates [owner :: shared_with] and checks
       it against the store's domain once; {!alloc_in} checks nothing.
+      A strictly ascending [shared_with] (what a filter over
+      {!Mm_core.Id.all} gives) costs one pass: the owner is merged in
+      and the list above it is shared.  Any other list — unsorted,
+      descending, with repeats or containing the owner — is sorted
+      first, with the same result.
     - Registers allocated from one group share its owner, its member
       array and its member list (immutable); each keeps its own value
       and access memo.  They behave exactly like {!alloc}'s: the same
@@ -167,6 +172,14 @@ type group
     forbids it. *)
 val group :
   store -> owner:Mm_core.Id.t -> shared_with:Mm_core.Id.t list -> group
+
+(** [peer_groups store pids] is one group per member of [pids]: group
+    [i] is owned by [pids.(i)] and shared with all of [pids] — a
+    register per process that its peers read (Paxos' blocks, Ω's STATE,
+    the ALIVE heartbeats, a log's slots).  Every owner has the same
+    sharing set, so it is validated once.  Raises [Invalid_argument]
+    when the domain forbids it. *)
+val peer_groups : store -> Mm_core.Id.t array -> group array
 
 (** [g]'s members: its owner and sharing set, sorted, without repeats. *)
 val group_members : group -> Mm_core.Id.t list

@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
 module Mem = Mm_mem.Mem
@@ -54,21 +55,20 @@ let count_read mon pi ~first =
   mon.reads.(pi) <- mon.reads.(pi) + 1;
   if not first then mon.spins.(pi) <- mon.spins.(pi) + 1
 
-let everyone_but ~n p = List.filter (fun q -> not (Id.equal q p)) (Id.all n)
-
 (* One register [name[i]] owned by each process i, shared with all. *)
-let per_process store ~n name init =
-  Array.init n (fun i ->
-      let owner = Id.of_int i in
-      Mem.alloc store
-        ~name:(Printf.sprintf "%s[%d]" name i)
-        ~owner ~shared_with:(everyone_but ~n owner) init)
+let per_process groups name init =
+  Array.mapi
+    (fun i g ->
+      Mem.alloc_in g
+        ~name:(String.concat "" [ name; "["; Decimal.of_int i; "]" ])
+        init)
+    groups
 
 (* --- Lamport bakery --- *)
 
-let bakery store ~n ~entries ~cs_work mon =
-  let choosing = per_process store ~n "choosing" false in
-  let number = per_process store ~n "number" 0 in
+let bakery groups ~n ~entries ~cs_work mon =
+  let choosing = per_process groups "choosing" false in
+  let number = per_process groups "number" 0 in
   fun p () ->
     let pi = Id.to_int p in
     for _ = 1 to entries do
@@ -110,15 +110,12 @@ let bakery store ~n ~entries ~cs_work mon =
    over: local-spin spins on a GRANT register the waiter owns and hands
    over by a remote write; m&m sleeps on its mailbox and hands over by
    one Wake message. *)
-let ticket store ~local_spin ~n ~entries ~cs_work mon =
-  let owner0 = Id.of_int 0 in
-  let shared name =
-    Mem.alloc store ~name ~owner:owner0 ~shared_with:(everyone_but ~n owner0) 0
-  in
+let ticket groups ~local_spin ~n ~entries ~cs_work mon =
+  let shared name = Mem.alloc_in groups.(0) ~name 0 in
   let next_ticket = shared "NEXT" in
   let serving = shared "SERVING" in
-  let waiting = per_process store ~n "WAITING" (-1) in
-  let grant = if local_spin then per_process store ~n "GRANT" (-1) else [||] in
+  let waiting = per_process groups "WAITING" (-1) in
+  let grant = if local_spin then per_process groups "GRANT" (-1) else [||] in
   let await pi t =
     if local_spin then begin
       (* Every read here is local, but each re-read after a failed check
@@ -192,7 +189,8 @@ let run ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
     Engine.create ~seed ?sched ~trace_capacity ?backend
       ~domain:(Domain_.full n) ~link:Network.Reliable ~n ()
   in
-  let store = Engine.store eng in
+  let pids = Array.init n Id.of_int in
+  let groups = Mem.peer_groups (Engine.store eng) pids in
   let counters () = Array.make n 0 in
   let mon =
     {
@@ -206,11 +204,11 @@ let run ?(seed = 1) ?(max_steps = 5_000_000) ?(cs_work = 4)
   in
   let process =
     match algo with
-    | Bakery -> bakery store ~n ~entries ~cs_work mon
-    | Local_spin -> ticket store ~local_spin:true ~n ~entries ~cs_work mon
-    | Mm -> ticket store ~local_spin:false ~n ~entries ~cs_work mon
+    | Bakery -> bakery groups ~n ~entries ~cs_work mon
+    | Local_spin -> ticket groups ~local_spin:true ~n ~entries ~cs_work mon
+    | Mm -> ticket groups ~local_spin:false ~n ~entries ~cs_work mon
   in
-  List.iter (fun p -> Engine.spawn eng p (process p)) (Id.all n);
+  Array.iter (fun p -> Engine.spawn eng p (process p)) pids;
   (match prepare with None -> () | Some f -> f eng);
   ignore (Engine.run eng ~max_steps ());
   {

@@ -49,9 +49,10 @@ type link = {
 
 (* How link records are found by index:
 
-   - [Dense]: one pre-allocated record per directed pair.  O(n²) words at
-     create, O(1) zero-allocation lookup — right for the small-n sweep
-     hot path.
+   - [Dense]: one slot per directed pair, O(n²) words at create, O(1)
+     lookup — right for the small-n sweep hot path.  A slot holds
+     [null_link] until its first write materializes the record, so a
+     trial pays only for the links it uses.
    - [Sparse]: links materialize on first use and are recycled (returned
      to [pool]) once idle, so storage is O(links in use), not O(n²) — at
      n=1000 a dense network is ~5M words before a single message moves.
@@ -134,6 +135,14 @@ let validate_kind = function
 let fresh_link idx =
   { l_idx = idx; l_queue = []; l_wake = no_wake; l_drop = 0.0; l_delay = 0 }
 
+(* Sentinel for "no record": reads as an idle link (empty queue, wake
+   [no_wake], no degradation) and is never mutated — callers that might
+   write first materialize a real record with [get_link].  Returning it
+   instead of an option keeps the per-send / per-pop lookups
+   allocation-free on the hot path. *)
+let null_link =
+  { l_idx = -1; l_queue = []; l_wake = no_wake; l_drop = 0.0; l_delay = 0 }
+
 (* Dense indexing is the small-n default (sweeps replay the same few
    links millions of times; array indexing beats hashing).  Above the
    cutoff the O(n²) create cost starts to dominate whole scenarios, so
@@ -166,7 +175,7 @@ let create ~rng ~n ~kind ?(delay = Uniform (1, 4)) ?index () =
     rng;
     index =
       (match mode with
-      | `Dense -> Dense (Array.init slots fresh_link)
+      | `Dense -> Dense (Array.make slots null_link)
       | `Sparse -> Sparse { tbl = Hashtbl.create 256; pool = [] });
     heap = Minheap.create ();
     wake = no_wake;
@@ -193,14 +202,6 @@ let notify t ev =
 
 (* --- link index --- *)
 
-(* Sentinel for "no record": reads as an idle link (empty queue, wake
-   [no_wake], no degradation) and is never mutated — callers that might
-   write first materialize a real record with [get_link].  Returning it
-   instead of an option keeps the per-send / per-pop lookups
-   allocation-free on the hot path. *)
-let null_link =
-  { l_idx = -1; l_queue = []; l_wake = no_wake; l_drop = 0.0; l_delay = 0 }
-
 let peek_link t idx =
   match t.index with
   | Dense links -> Array.unsafe_get links idx
@@ -209,7 +210,14 @@ let peek_link t idx =
 (* Look up link [idx], materializing it in sparse mode. *)
 let get_link t idx =
   match t.index with
-  | Dense links -> links.(idx)
+  | Dense links ->
+    let l = links.(idx) in
+    if l != null_link then l
+    else begin
+      let l = fresh_link idx in
+      links.(idx) <- l;
+      l
+    end
   | Sparse s -> (
     try Hashtbl.find s.tbl idx
     with Not_found ->
@@ -457,8 +465,10 @@ let restore t =
   | Dense links ->
     Array.iter
       (fun l ->
-        l.l_drop <- 0.0;
-        l.l_delay <- 0)
+        if l != null_link then begin
+          l.l_drop <- 0.0;
+          l.l_delay <- 0
+        end)
       links
   | Sparse s ->
     (* Clearing a degradation can leave a link idle; recycle those, but

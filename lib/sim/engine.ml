@@ -241,9 +241,10 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
       stop = Step_limit;
       coins = 0;
       sched_log = None;
-      crash_heap = Minheap.create ();
-      restart_heap = Minheap.create ();
-      retry_heap = Minheap.create ();
+      (* One pending entry per process fits; more grow the heap. *)
+      crash_heap = Minheap.create ~capacity:n ();
+      restart_heap = Minheap.create ~capacity:n ();
+      retry_heap = Minheap.create ~capacity:n ();
       ready_n = 0;
       done_n = 0;
       crashed_n = 0;

@@ -1,4 +1,5 @@
 module Id = Mm_core.Id
+module Decimal = Mm_core.Decimal
 module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
@@ -42,20 +43,10 @@ module Slots = struct
 
   let create store ~pids ~prefix =
     if Array.length pids = 0 then invalid_arg "Slots.create: empty group";
-    let groups =
-      Array.map
-        (fun owner ->
-          Mem.group store ~owner
-            ~shared_with:
-              (List.filter
-                 (fun q -> not (Id.equal q owner))
-                 (Array.to_list pids)))
-        pids
-    in
     {
       pids;
       prefix;
-      groups;
+      groups = Mem.peer_groups store pids;
       blocks = Int_table.create ();
       decisions = Int_table.create ();
     }
@@ -66,13 +57,13 @@ module Slots = struct
     match Int_table.find t.blocks s with
     | a -> a
     | exception Not_found ->
-      let slot = string_of_int s in
+      let slot = Decimal.of_int s in
       let a =
         Array.init (Array.length t.pids) (fun i ->
             Mem.alloc_in t.groups.(i)
               ~name:
                 (String.concat ""
-                   [ t.prefix; "R["; slot; "]["; string_of_int i; "]" ])
+                   [ t.prefix; "R["; slot; "]["; Decimal.of_int i; "]" ])
               Paxos.empty_block)
       in
       Int_table.replace t.blocks s a;
@@ -85,7 +76,7 @@ module Slots = struct
       let r =
         Mem.alloc_in
           t.groups.(s mod Array.length t.pids)
-          ~name:(String.concat "" [ t.prefix; "D["; string_of_int s; "]" ])
+          ~name:(String.concat "" [ t.prefix; "D["; Decimal.of_int s; "]" ])
           None
       in
       Int_table.replace t.decisions s r;

@@ -103,6 +103,60 @@ let prop_uniform_matches_graph =
           = Mm_graph.Graph.closed_neighborhood g (Id.to_int p))
         (Id.all n))
 
+(* [can_share]'s contract: an ascending, duplicate-free list (what
+   [Mem] hands it) is judged exactly like the brute-force "some member
+   set holds them all", on uniform and arbitrary domains alike. *)
+let prop_can_share_ascending =
+  QCheck.Test.make ~name:"can_share: ascending = subset scan"
+    ~count:200
+    QCheck.(triple (int_range 1 9) (int_range 0 500) (int_range 0 500))
+    (fun (n, gseed, qseed) ->
+      let rng = Mm_rng.Rng.create gseed in
+      let edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Mm_rng.Rng.int rng 3 = 0 then edges := (u, v) :: !edges
+        done
+      done;
+      let uniform = Domain.uniform_of_graph (Mm_graph.Graph.create n !edges) in
+      let arbitrary =
+        Domain.of_sets n
+          (List.init 3 (fun _ ->
+               List.init (1 + Mm_rng.Rng.int rng n) (fun _ ->
+                   Mm_rng.Rng.int rng n)))
+      in
+      let q = Mm_rng.Rng.create qseed in
+      List.for_all
+        (fun dom ->
+          List.for_all
+            (fun _ ->
+              let ids =
+                List.filter (fun _ -> Mm_rng.Rng.int q 3 = 0) (Id.all n)
+              in
+              let brute =
+                List.exists
+                  (fun s -> List.for_all (fun i -> List.mem i s) ids)
+                  (Domain.sets dom)
+              in
+              Domain.can_share dom ids = brute)
+            (List.init 20 Fun.id))
+        [ uniform; arbitrary ])
+
+(* --- Decimal --- *)
+
+let test_decimal () =
+  let check i =
+    Alcotest.(check string) (string_of_int i) (string_of_int i)
+      (Mm_core.Decimal.of_int i)
+  in
+  for i = -20 to 20_000 do
+    check i
+  done;
+  List.iter check
+    [ 99_999; 100_000; 1_234_567_890; max_int; max_int - 1; min_int; -1023 ];
+  Alcotest.(check bool) "small ints are shared" true
+    (Mm_core.Decimal.of_int 7 == Mm_core.Decimal.of_int 7)
+
 (* --- Int_table --- *)
 
 module Int_table = Mm_core.Int_table
@@ -162,7 +216,9 @@ let () =
           Alcotest.test_case "arbitrary + store" `Quick test_arbitrary_domain_store;
           Alcotest.test_case "pp" `Quick test_domain_pp;
           QCheck_alcotest.to_alcotest prop_uniform_matches_graph;
+          QCheck_alcotest.to_alcotest prop_can_share_ascending;
         ] );
+      ("decimal", [ Alcotest.test_case "= string_of_int" `Quick test_decimal ]);
       ( "int_table",
         [
           Alcotest.test_case "basics" `Quick test_int_table_basics;
