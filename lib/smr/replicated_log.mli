@@ -56,7 +56,8 @@ module Slots : sig
       decision register ([D\[s\]], owner [pids.(s mod n)]).  Registers
       materialize lazily on first touch, each allocated from its
       owner's sharing set ({!Mm_mem.Mem.group}: the owner, shared with
-      the whole group), which [create] validates once per member;
+      the whole group), which [create] validates once for all members
+      ({!Mm_mem.Mem.peer_groups});
       [prefix] keeps groups sharing a store apart.  Slots are dense from 0, so the materialized
       registers sit in {!Mm_core.Int_table}s: finding a slot's
       registers is an array index, with no hashing on the per-step

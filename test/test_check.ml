@@ -608,6 +608,29 @@ let test_registry_names () =
     Registry.names;
   Alcotest.(check bool) "unknown name" true (Registry.find "nope" = None)
 
+(* A starved hunt's trial runs 60-80 steps, so what a trial costs before
+   its first step (engine, registers, names) sets the hunt's rate.  At
+   [max_steps = 1] an execution is nearly all setup; at n = 6 it stays
+   under 3 000 minor words (register names without Printf, one
+   validation per peer set). *)
+let test_trial_setup_bound () =
+  List.iter
+    (fun name ->
+      let (module Sc : Scenario.S) = scenario name in
+      let cfg =
+        Sc.cfg_of_params { Scenario.default_params with max_steps = Some 1 }
+      in
+      let trials = List.init 50 (fun s -> Sc.gen cfg (Rng.create (s + 1))) in
+      ignore (Sc.execute cfg (List.hd trials));
+      let before = Gc.minor_words () in
+      List.iter (fun t -> ignore (Sys.opaque_identity (Sc.execute cfg t))) trials;
+      let per_trial = (Gc.minor_words () -. before) /. 50.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per trial at max_steps 1 (<= 3000)"
+           name per_trial)
+        true (per_trial <= 3000.0))
+    [ "paxos"; "mutex"; "smr" ]
+
 let clean_sweep name ~budget ~params =
   let report = Runner.sweep (scenario name) ~master_seed:1 ~budget ~params () in
   (match report.Runner.violation with
@@ -1580,6 +1603,7 @@ let () =
             test_mutex_violation_replays;
           Alcotest.test_case "smr violation replays" `Quick
             test_smr_violation_replays;
+          Alcotest.test_case "trial setup bound" `Quick test_trial_setup_bound;
         ] );
       ( "jobs",
         [
