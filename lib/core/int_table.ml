@@ -19,11 +19,13 @@ let replace t k v =
   if k < 0 then invalid_arg "Int_table.replace: negative key";
   let len = Bytes.length t.present in
   if k >= len then begin
-    let len' = max (k + 1) (max 16 (2 * len)) in
+    let len' = Int.max (k + 1) (Int.max 4 (2 * len)) in
     let data = Array.make len' v in
-    Array.blit t.data 0 data 0 len;
     let present = Bytes.make len' '\000' in
-    Bytes.blit t.present 0 present 0 len;
+    if len > 0 then begin
+      Array.blit t.data 0 data 0 len;
+      Bytes.blit t.present 0 present 0 len
+    end;
     t.data <- data;
     t.present <- present
   end;

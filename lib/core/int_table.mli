@@ -21,6 +21,8 @@ val find : 'a t -> int -> 'a
 val find_or : 'a t -> int -> default:'a -> 'a
 
 (** [replace t k v] binds [k] to [v], replacing any earlier binding.
-    The backing arrays grow to at least double their length when [k] is
-    past them.  Raises [Invalid_argument] on a negative [k]. *)
+    The backing arrays grow to at least double their length, and to at
+    least 4 entries, when [k] is past them (a single-decree Paxos
+    process's tables only ever hold slot 0).  Raises
+    [Invalid_argument] on a negative [k]. *)
 val replace : 'a t -> int -> 'a -> unit

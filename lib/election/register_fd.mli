@@ -16,8 +16,8 @@ type t
 
 (** [registers store ~pids ~prefix] allocates one group's ALIVE array:
     register [i] is named [prefix ^ "ALIVE\[i\]"], owned by [pids.(i)]
-    and shared with the rest of [pids] — the layout the replicated
-    log's [Slots.create] uses for its slot registers.
+    and shared with the rest of [pids] — the layout
+    [Mm_consensus.Paxos.Slots.create] uses for its slot registers.
     Detector indices below are member indices into [pids]. *)
 val registers :
   Mm_mem.Mem.store ->

@@ -8,6 +8,7 @@ module Engine = Mm_sim.Engine
 module Proc = Mm_sim.Proc
 module Fd = Mm_election.Register_fd
 module Log = Mm_smr.Replicated_log
+module Paxos = Mm_consensus.Paxos
 module W = Workload
 
 type op_record = {
@@ -117,7 +118,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
     end;
     on_apply ~pid ~slot ~id ~dup
   in
-  let learner = Log.Learner.create slots ~me:r ~apply in
+  let learner = Paxos.Learner.create slots ~me:r ~apply in
   (* Answer every pending local read from the applied state, host-side
      (zero engine steps), in the same step as the catch-up's None
      read. *)
@@ -199,11 +200,11 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
       (fun (_src, payload) ->
         match payload with
         | Log.Forward id -> claim id
-        | Log.Learn (s, id) -> Log.Learner.learn learner s id
+        | Paxos.Learn (s, id) -> Paxos.Learner.learn learner s id
         | _ -> ())
       (Proc.receive ());
     Fd.step det;
-    Log.Learner.drain learner ~read_register:(iter mod 32 = 0);
+    Paxos.Learner.drain learner ~read_register:(iter mod 32 = 0);
     pull_arrivals ();
     (if Fd.am_leader det then begin
        (* §5.3 leader catch-up: read decision registers until one comes
@@ -212,17 +213,17 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
           linearization instant for the local reads served right
           after. *)
        if local_reads then begin
-         Log.Learner.drain learner ~read_register:true;
+         Paxos.Learner.drain learner ~read_register:true;
          serve_gets ()
        end;
        match next_put () with
-       | Some id -> Log.Learner.propose learner id
+       | Some id -> Paxos.Learner.propose learner id
        | None -> Proc.yield ()
      end
      else begin
        (* Per-request pacing makes the scan cheap to run every loop:
           only requests whose backoff clock expired actually send. *)
-       forward_some peers.(Log.leader_hint det);
+       forward_some peers.(Fd.leader det);
        Proc.yield ()
      end);
     main_loop (iter + 1)
@@ -233,7 +234,7 @@ let replica_process ?(recovering = false) ~eng ~shard ~peers ~r ~slots ~alive
      ingress pointer restarts at 0, so every arrived-but-open request we
      were shepherding is re-claimed — that re-claim IS the failover
      retry for requests orphaned by our crash. *)
-  if recovering then Log.Learner.drain learner ~read_register:true;
+  if recovering then Paxos.Learner.drain learner ~read_register:true;
   main_loop 1
 
 let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
@@ -263,8 +264,8 @@ let run ?(seed = 1) ?(max_steps = 400_000) ?(trace_capacity = 0) ?(crashes = [])
   in
   let shard_slots =
     Array.init shards (fun s ->
-        (Log.Slots.create store ~pids:(shard_pids s) ~prefix:shard_prefix.(s)
-          : int Log.Slots.t))
+        (Paxos.Slots.create store ~pids:(shard_pids s) ~prefix:shard_prefix.(s)
+          : int Paxos.Slots.t))
   in
   let shard_alive =
     Array.init shards (fun s ->

@@ -1,7 +1,7 @@
 (** A sharded replicated key-value service on the replicated log.
 
     Keys are partitioned across [shards] by [key mod shards]; each shard
-    is one independent {!Mm_smr.Replicated_log.Slots} group of
+    is one independent {!Mm_consensus.Paxos.Slots} group of
     [replicas] processes (shard [s]'s replicas are engine pids
     [s * replicas .. s * replicas + replicas - 1], its registers are
     prefixed [S<s>/]), led by a register-heartbeat failure detector
@@ -12,13 +12,14 @@
     messages (the hop partitions and freezes actually delay — the
     shard's registers survive both).
 
-    Writes always go through the log: each replica runs the replicated
-    log's {!Mm_smr.Replicated_log.Learner} over request ids — the leader
+    Writes always go through the log: each replica runs the same
+    {!Mm_consensus.Paxos.Learner} as the replicated log, over request
+    ids — the leader
     decides the request id into the next free slot with a Disk-Paxos
     ballot, every replica applies the log in slot order — and
     at-least-once forwarding is deduplicated at apply time (first
     occurrence mutates the state).  Forwards and learns are the log's
-    own [Forward]/[Learn] messages.
+    [Forward] and the learner's [Learn] messages.
 
     Reads follow the paper's §5.3 locality rule when [local_reads] is
     on: the leader catches up by reading decision registers until it

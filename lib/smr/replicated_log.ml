@@ -1,9 +1,7 @@
 module Id = Mm_core.Id
-module Decimal = Mm_core.Decimal
 module Int_table = Mm_core.Int_table
 module Domain_ = Mm_core.Domain
 module Network = Mm_net.Network
-module Mem = Mm_mem.Mem
 module Engine = Mm_sim.Engine
 module Proc = Mm_sim.Proc
 module Fd = Mm_election.Register_fd
@@ -16,180 +14,7 @@ type command = {
 
 let pp_command fmt c = Format.fprintf fmt "c%d.%d" c.issuer c.seq
 
-type Mm_net.Message.payload +=
-  | Forward of int
-  | Learn of int * int
-
-(* ------------------------------------------------------------------ *)
-(* Reusable slot machinery: the per-slot register layout, the per-slot
-   proposer and the learner, generalized over the member pids (a group
-   need not be processes 0..n-1 — the sharded KV service runs one group
-   per shard).  Host-level lazy register tables: conceptually the
-   infinite per-slot arrays pre-exist (as in HBO's RVals/PVals); we
-   materialize on first touch.  Slots are dense from 0, so both tables
-   are [Int_table]s: a slot lookup on the per-step path costs an index,
-   not a hash.  The engine is single-threaded, so this is race-free. *)
-
-module Slots = struct
-  type 'v t = {
-    pids : Id.t array;
-    prefix : string;
-    (* [groups.(i)]: member i's registers, shared with the whole group.
-       Validated once at [create]; every slot allocates from them. *)
-    groups : Mem.group array;
-    blocks : 'v Paxos.block Mem.reg array Int_table.t;
-    decisions : 'v option Mem.reg Int_table.t;
-  }
-
-  let create store ~pids ~prefix =
-    if Array.length pids = 0 then invalid_arg "Slots.create: empty group";
-    {
-      pids;
-      prefix;
-      groups = Mem.peer_groups store pids;
-      blocks = Int_table.create ();
-      decisions = Int_table.create ();
-    }
-
-  let group_size t = Array.length t.pids
-
-  let blocks t s =
-    match Int_table.find t.blocks s with
-    | a -> a
-    | exception Not_found ->
-      let slot = Decimal.of_int s in
-      let a =
-        Array.init (Array.length t.pids) (fun i ->
-            Mem.alloc_in t.groups.(i)
-              ~name:
-                (String.concat ""
-                   [ t.prefix; "R["; slot; "]["; Decimal.of_int i; "]" ])
-              Paxos.empty_block)
-      in
-      Int_table.replace t.blocks s a;
-      a
-
-  let decision t s =
-    match Int_table.find t.decisions s with
-    | r -> r
-    | exception Not_found ->
-      let r =
-        Mem.alloc_in
-          t.groups.(s mod Array.length t.pids)
-          ~name:(String.concat "" [ t.prefix; "D["; Decimal.of_int s; "]" ])
-          None
-      in
-      Int_table.replace t.decisions s r;
-      r
-
-  let read_decided t s = Proc.read (decision t s)
-  let write_decision t s v = Proc.write (decision t s) (Some v)
-
-  let peek_decided t s =
-    (* Host-side: an unmaterialized decision register was never written. *)
-    match Int_table.find t.decisions s with
-    | r -> Mem.peek r
-    | exception Not_found -> None
-end
-
-module Proposer = struct
-  type 'v t = {
-    slots : 'v Slots.t;
-    me : int;
-    known : 'v Paxos.block Int_table.t;  (* absent = [empty_block] *)
-    next_round : int Int_table.t;  (* absent = round 1 *)
-  }
-
-  let create slots ~me =
-    if me < 0 || me >= Slots.group_size slots then
-      invalid_arg "Proposer.create: me out of range";
-    { slots; me; known = Int_table.create (); next_round = Int_table.create () }
-
-  (* One ballot on slot [slot]: round r of member [me] is ballot
-     r * n + me + 1; a lost ballot skips the rounds it was overtaken
-     by. *)
-  let attempt p ~slot v =
-    let n = Slots.group_size p.slots in
-    let blocks = Slots.blocks p.slots slot in
-    let round = Int_table.find_or p.next_round slot ~default:1 in
-    Int_table.replace p.next_round slot (round + 1);
-    let known = Int_table.find_or p.known slot ~default:Paxos.empty_block in
-    let k, result =
-      Paxos.ballot blocks ~me:p.me ~b:((round * n) + p.me + 1) ~known v
-    in
-    Int_table.replace p.known slot k;
-    match result with
-    | Ok chosen -> Some chosen
-    | Error seen ->
-      Int_table.replace p.next_round slot (max (round + 1) ((seen / n) + 1));
-      None
-end
-
-module Learner = struct
-  type t = {
-    slots : int Slots.t;
-    prop : int Proposer.t;
-    me : int;
-    learned : int Int_table.t;  (* slot -> value; absent = not learned *)
-    mutable next : int;  (* the applied prefix: the next slot to apply *)
-    apply : slot:int -> int -> unit;
-  }
-
-  let create slots ~me ~apply =
-    {
-      slots;
-      prop = Proposer.create slots ~me;
-      me;
-      learned = Int_table.create ();
-      next = 0;
-      apply;
-    }
-
-  let learn l s v = Int_table.replace l.learned s v
-
-  let apply_next l v =
-    l.apply ~slot:l.next v;
-    l.next <- l.next + 1
-
-  (* Advance the applied prefix from the learned slots, reading the
-     decision register only when asked (reading registers every loop
-     would defeat the message wake-up design).  Values are >= 0, so -1
-     marks a slot not learned yet. *)
-  let drain l ~read_register =
-    let progress = ref true in
-    while !progress do
-      let v = Int_table.find_or l.learned l.next ~default:(-1) in
-      if v >= 0 then apply_next l v
-      else if read_register then begin
-        match Slots.read_decided l.slots l.next with
-        | Some v -> apply_next l v
-        | None -> progress := false
-      end
-      else progress := false
-    done
-
-  let propose l v =
-    let s = l.next in
-    match Proposer.attempt l.prop ~slot:s v with
-    | Some chosen ->
-      Slots.write_decision l.slots s chosen;
-      learn l s chosen;
-      Array.iteri
-        (fun j q -> if j <> l.me then Proc.send q (Learn (s, chosen)))
-        l.slots.Slots.pids;
-      drain l ~read_register:false
-    | None ->
-      (* Lost the ballot: someone else decided or is deciding this slot;
-         catch up from the register before retrying. *)
-      (match Slots.read_decided l.slots s with
-      | Some c -> learn l s c
-      | None -> ());
-      Proc.yield ()
-end
-
-(* The leader hint the log (and the KV service) routes commands to: the
-   failure detector's smallest unsuspected index. *)
-let leader_hint = Fd.leader
+type Mm_net.Message.payload += Forward of int
 
 (* No slot maps to two values: the first value seen at each slot is the
    one every later entry must repeat. *)
@@ -237,7 +62,7 @@ let log_process ?(recovering = false) ~n ~commands_per_proc ~sm ~alive
     Bytes.set applied_cmds id '\001';
     on_apply ~slot ~id ~duplicate
   in
-  let learner = Learner.create sm ~me:mi ~apply in
+  let learner = Paxos.Learner.create sm ~me:mi ~apply in
   let next_proposal () =
     (* prefer own pending work, then forwarded commands; skip anything
        already applied (at-least-once forwarding creates repeats) *)
@@ -267,15 +92,15 @@ let log_process ?(recovering = false) ~n ~commands_per_proc ~sm ~alive
             Bytes.set forwarded_set id '\001';
             Queue.add id forwarded
           end
-        | Learn (s, id) -> Learner.learn learner s id
+        | Paxos.Learn (s, id) -> Paxos.Learner.learn learner s id
         | _ -> ())
       (Proc.receive ());
     Fd.step det;
-    Learner.drain learner ~read_register:(iter mod 32 = 0);
+    Paxos.Learner.drain learner ~read_register:(iter mod 32 = 0);
     (if Fd.am_leader det then begin
        match next_proposal () with
        | None -> Proc.yield ()
-       | Some id -> Learner.propose learner id
+       | Some id -> Paxos.Learner.propose learner id
      end
      else begin
        (* Follower: re-forward one unacknowledged command to the current
@@ -284,7 +109,7 @@ let log_process ?(recovering = false) ~n ~commands_per_proc ~sm ~alive
        (if iter mod 24 = 0 then
           match Queue.peek_opt pending with
           | Some id when not (is_applied id) ->
-            Proc.send (Id.of_int (leader_hint det)) (Forward id)
+            Proc.send (Id.of_int (Fd.leader det)) (Forward id)
           | Some _ | None -> ());
        Proc.yield ()
      end);
@@ -299,7 +124,7 @@ let log_process ?(recovering = false) ~n ~commands_per_proc ~sm ~alive
      prefix eagerly before joining the protocol — nothing is learned
      yet, so this is one register read per decided slot (an ABD round
      each under the emulated backend). *)
-  if recovering then Learner.drain learner ~read_register:true;
+  if recovering then Paxos.Learner.drain learner ~read_register:true;
   main_loop 1
 
 let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
@@ -310,7 +135,7 @@ let run ?(seed = 1) ?(max_steps = 2_000_000) ?(trace_capacity = 0)
   in
   let store = Engine.store eng in
   let pids = Array.init n Id.of_int in
-  let sm = Slots.create store ~pids ~prefix:"" in
+  let sm = Paxos.Slots.create store ~pids ~prefix:"" in
   let alive = Fd.registers store ~pids ~prefix:"" in
   let crashed = Engine.crash_plan eng crashes in
   let logs = Array.make n [] in

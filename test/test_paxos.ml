@@ -122,7 +122,7 @@ let test_anarchy_with_crashes_safety () =
   done
 
 let test_decision_broadcast_wakes_followers () =
-  (* With a static leader, followers learn the decision from the Decided
+  (* With a static leader, followers learn the decision from the Learn
      message (or the rare register fallback) — they never write. *)
   let inputs = [| 4; 4; 4 |] in
   let o = Paxos.run ~seed:5 ~oracle:(Paxos.Static 1) ~n:3 ~inputs () in
@@ -212,6 +212,157 @@ let test_ballot_phases () =
   Alcotest.(check bool) "overtaken by 8" true
     (r = Error 8 && k = blk 4 1 (Some 1))
 
+(* Paxos.run is slot 0 of one group: under every oracle, with the
+   crash and restart shapes of the algorithm digest, on both backends,
+   every register the whole trace names is R[0][i], D[0] or ALIVE[i] —
+   no register of a later slot is ever materialized: the store holds
+   at most those 2n + 1.  A last shape restarts a process that is not a
+   crash-plan victim after the others decided, so its recovery boot
+   reads a decided D[0]. *)
+let test_slot0_footprint () =
+  let slot0 name =
+    let bracketed prefix =
+      String.starts_with ~prefix name
+      && String.ends_with ~suffix:"]" name
+      && (let d =
+            String.sub name (String.length prefix)
+              (String.length name - String.length prefix - 1)
+          in
+          d <> "" && String.for_all (fun c -> c >= '0' && c <= '9') d)
+    in
+    name = "D[0]" || bracketed "R[0][" || bracketed "ALIVE["
+  in
+  let capacity = 200_000 in
+  List.iter
+    (fun oracle ->
+      List.iter
+        (fun (n, seed, crashes, restarts, window) ->
+          List.iter
+            (fun backend ->
+              let store = ref None in
+              let prepare eng =
+                store := Some (Engine.store eng);
+                List.iter
+                  (fun (p, at) ->
+                    Engine.restart_at eng (Mm_core.Id.of_int p) at)
+                  restarts;
+                Option.iter
+                  (fun (p, down, up) ->
+                    Engine.crash_at eng (Mm_core.Id.of_int p) down;
+                    Engine.restart_at eng (Mm_core.Id.of_int p) up)
+                  window
+              in
+              let o =
+                Paxos.run ~seed ~oracle ~max_steps:120_000
+                  ~trace_capacity:capacity ~crashes ~prepare ~backend ~n
+                  ~inputs:(Array.init n (fun i -> i mod 2))
+                  ()
+              in
+              let trace = o.Paxos.run.Engine.trace in
+              Alcotest.(check bool) "whole trace kept" true
+                (List.length trace < capacity);
+              let names =
+                List.filter_map
+                  (fun ev ->
+                    match ev.Mm_sim.Trace.op with
+                    | Mm_sim.Trace.Read r
+                    | Mm_sim.Trace.Wrote r
+                    | Mm_sim.Trace.Blocked r ->
+                      Some r
+                    | _ -> None)
+                  trace
+              in
+              List.iter
+                (fun r ->
+                  if not (slot0 r) then
+                    Alcotest.failf "n=%d seed=%d: register %s is not slot 0's" n
+                      seed r)
+                names;
+              Alcotest.(check bool) "slot 0's blocks are used" true
+                (List.mem "R[0][0]" names);
+              Alcotest.(check bool) "no other register allocated" true
+                (Mem.reg_count (Option.get !store) <= (2 * n) + 1))
+            [ Mem.Backend.Native; Mem.Backend.Emulated ])
+        [
+          (3, 31, [ (0, 6) ], [ (0, 18) ], None);
+          (5, 32, [ (4, 5); (0, 30) ], [ (0, 400) ], None);
+          (3, 31, [], [], Some (2, 5, 300));
+        ])
+    [ Paxos.Static 0; Paxos.Heartbeat; Paxos.Anarchy ]
+
+(* Disk Paxos's recovery: member 0 of a two-member group proposes 7 and
+   crashes right after its phase-2 write (nobody decided yet).  Restarted,
+   it restores its block and proposes 9: phase 1 must find its own
+   accepted 7 and decide it.  Without the restore the fresh proposer
+   would overwrite its accepted block and decide 9. *)
+let test_restore_keeps_accepted_value () =
+  let module Id = Mm_core.Id in
+  let n = 2 in
+  (* Member 0 runs whenever it can; member 1 only while it cannot. *)
+  let sched =
+    Sched.create
+      (Sched.Custom
+         (fun v ->
+           if Bytes.get v.Sched.mask 0 <> '\000' then 0 else v.Sched.runnable.(0)))
+  in
+  let eng =
+    Engine.create ~seed:1 ~sched ~trace_capacity:100
+      ~domain:(Mm_core.Domain.full n) ~link:Net.Reliable ~n ()
+  in
+  let slots =
+    Paxos.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
+      ~prefix:""
+  in
+  let decided = Array.make n None in
+  let learner me =
+    Paxos.Learner.create slots ~me ~apply:(fun ~slot:_ v ->
+        decided.(me) <- Some v)
+  in
+  Engine.spawn eng (Id.of_int 0)
+    ~recover:(fun () ->
+      let l = learner 0 in
+      Paxos.Learner.restore l ~slot:0;
+      Paxos.Learner.propose l 9)
+    (fun () -> Paxos.Learner.propose (learner 0) 7);
+  Engine.spawn eng (Id.of_int 1) (fun () ->
+      let l = learner 1 in
+      while decided.(1) = None do
+        List.iter
+          (fun (_, m) ->
+            match m with Paxos.Learn (s, v) -> Paxos.Learner.learn l s v | _ -> ())
+          (Mm_sim.Proc.receive ());
+        Paxos.Learner.drain l ~read_register:false;
+        if decided.(1) = None then Mm_sim.Proc.yield ()
+      done);
+  (* Steps 1-3 are member 0's phase-1 write, its read of member 1's
+     block and its phase-2 write. *)
+  Engine.crash_at eng (Id.of_int 0) 4;
+  Engine.restart_at eng (Id.of_int 0) 6;
+  ignore
+    (Engine.run eng ~max_steps:1_000
+       ~until:(fun () -> decided.(0) <> None && decided.(1) <> None)
+       ());
+  let before_crash =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | ev :: rest ->
+        if ev.Mm_sim.Trace.op = Mm_sim.Trace.Crashed then List.rev acc
+        else go (Format.asprintf "%a" Mm_sim.Trace.pp_event ev :: acc) rest
+    in
+    go [] (Engine.summary eng).Engine.trace
+  in
+  Alcotest.(check (list string)) "crash right after the phase-2 write"
+    [
+      "[     1] p0 write R[0][0]";
+      "[     2] p0 read R[0][1]";
+      "[     3] p0 write R[0][0]";
+    ]
+    before_crash;
+  Alcotest.(check (option int)) "restarted member decides its accepted value"
+    (Some 7) decided.(0);
+  Alcotest.(check (option int)) "the other member learns it" (Some 7)
+    decided.(1)
+
 let () =
   Alcotest.run "mm_paxos"
     [
@@ -234,6 +385,9 @@ let () =
           Alcotest.test_case "ballot escalation" `Quick
             test_ballots_grow_under_contention;
           Alcotest.test_case "ballot phases" `Quick test_ballot_phases;
+          Alcotest.test_case "slot-0 footprint" `Quick test_slot0_footprint;
+          Alcotest.test_case "restore keeps accepted value" `Quick
+            test_restore_keeps_accepted_value;
           QCheck_alcotest.to_alcotest prop_paxos_safety;
         ] );
     ]

@@ -2,6 +2,7 @@
    leader failover, and command survival across leadership changes. *)
 
 module Log = Mm_smr.Replicated_log
+module Paxos = Mm_consensus.Paxos
 module Engine = Mm_sim.Engine
 module Net = Mm_net.Network
 module Trace = Mm_sim.Trace
@@ -142,23 +143,23 @@ let test_slots_decided_read_is_message_free () =
     Engine.create ~seed:7 ~domain:(Domain_.full n) ~link:Net.Reliable ~n ()
   in
   let slots =
-    Log.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
+    Paxos.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
       ~prefix:"T/"
   in
-  Alcotest.(check int) "group size" n (Log.Slots.group_size slots);
+  Alcotest.(check int) "group size" n (Paxos.Slots.group_size slots);
   let ballot = ref None in
   let decided_read = ref None in
   let undecided_read = ref (Some 999) in
   let moved = ref (-1, -1) in
   Engine.spawn eng (Id.of_int 0) (fun () ->
-      let p = Log.Proposer.create slots ~me:0 in
-      (ballot := Log.Proposer.attempt p ~slot:0 42);
+      let p = Paxos.Proposer.create slots ~me:0 in
+      (ballot := Paxos.Proposer.attempt p ~slot:0 42);
       (match !ballot with
-      | Some v -> Log.Slots.write_decision slots 0 v
+      | Some v -> Paxos.Slots.write_decision slots 0 v
       | None -> ());
       let before = Net.stats (Engine.network eng) in
-      decided_read := Log.Slots.read_decided slots 0;
-      undecided_read := Log.Slots.read_decided slots 1;
+      decided_read := Paxos.Slots.read_decided slots 0;
+      undecided_read := Paxos.Slots.read_decided slots 1;
       let after = Net.stats (Engine.network eng) in
       moved :=
         ( after.Net.sent - before.Net.sent,
@@ -170,9 +171,9 @@ let test_slots_decided_read_is_message_free () =
   Alcotest.(check (pair int int)) "zero messages for both reads" (0, 0) !moved;
   (* host-side peek agrees, and the whole run was message-free *)
   Alcotest.(check (option int)) "peek decided" (Some 42)
-    (Log.Slots.peek_decided slots 0);
+    (Paxos.Slots.peek_decided slots 0);
   Alcotest.(check (option int)) "peek undecided" None
-    (Log.Slots.peek_decided slots 1);
+    (Paxos.Slots.peek_decided slots 1);
   Alcotest.(check int) "no messages anywhere" 0
     (Net.stats (Engine.network eng)).Net.sent
 
@@ -186,20 +187,20 @@ let test_dueling_proposers_agree () =
       Engine.create ~seed ~domain:(Domain_.full n) ~link:Net.Reliable ~n ()
     in
     let slots =
-      Log.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
+      Paxos.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
         ~prefix:"T/"
     in
     let out = [| None; None |] in
     for me = 0 to 1 do
       Engine.spawn eng (Id.of_int me) (fun () ->
-          let p = Log.Proposer.create slots ~me in
+          let p = Paxos.Proposer.create slots ~me in
           let rec go () =
-            match Log.Proposer.attempt p ~slot:0 (100 + me) with
+            match Paxos.Proposer.attempt p ~slot:0 (100 + me) with
             | Some v ->
-              Log.Slots.write_decision slots 0 v;
+              Paxos.Slots.write_decision slots 0 v;
               out.(me) <- Some v
             | None -> (
-              match Log.Slots.read_decided slots 0 with
+              match Paxos.Slots.read_decided slots 0 with
               | Some v -> out.(me) <- Some v
               | None -> go ())
           in
@@ -227,18 +228,18 @@ let test_slots_groups_are_independent () =
     Engine.create ~seed:3 ~domain:(Domain_.full n) ~link:Net.Reliable ~n ()
   in
   let pids = Array.init n Id.of_int in
-  let a = Log.Slots.create (Engine.store eng) ~pids ~prefix:"A/" in
-  let b = Log.Slots.create (Engine.store eng) ~pids ~prefix:"B/" in
+  let a = Paxos.Slots.create (Engine.store eng) ~pids ~prefix:"A/" in
+  let b = Paxos.Slots.create (Engine.store eng) ~pids ~prefix:"B/" in
   Engine.spawn eng (Id.of_int 0) (fun () ->
-      let p = Log.Proposer.create a ~me:0 in
-      match Log.Proposer.attempt p ~slot:0 7 with
-      | Some v -> Log.Slots.write_decision a 0 v
+      let p = Paxos.Proposer.create a ~me:0 in
+      match Paxos.Proposer.attempt p ~slot:0 7 with
+      | Some v -> Paxos.Slots.write_decision a 0 v
       | None -> ());
   ignore (Engine.run eng ~max_steps:5_000 ());
   Alcotest.(check (option int)) "group A decided" (Some 7)
-    (Log.Slots.peek_decided a 0);
+    (Paxos.Slots.peek_decided a 0);
   Alcotest.(check (option int)) "group B untouched" None
-    (Log.Slots.peek_decided b 0)
+    (Paxos.Slots.peek_decided b 0)
 
 let test_learner_decides_and_teaches () =
   (* Member 0 decides two slots; member 1 learns them from Learn
@@ -249,35 +250,35 @@ let test_learner_decides_and_teaches () =
     Engine.create ~seed:5 ~domain:(Domain_.full n) ~link:Net.Reliable ~n ()
   in
   let slots =
-    Log.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
+    Paxos.Slots.create (Engine.store eng) ~pids:(Array.init n Id.of_int)
       ~prefix:"L/"
   in
   let applied = Array.make n [] in
   let learner me =
-    Log.Learner.create slots ~me ~apply:(fun ~slot v ->
+    Paxos.Learner.create slots ~me ~apply:(fun ~slot v ->
         applied.(me) <- (slot, v) :: applied.(me))
   in
   let leader_done = ref false in
   Engine.spawn eng (Id.of_int 0) (fun () ->
       let l = learner 0 in
-      Log.Learner.propose l 5;
-      Log.Learner.propose l 9;
+      Paxos.Learner.propose l 5;
+      Paxos.Learner.propose l 9;
       leader_done := true);
   Engine.spawn eng (Id.of_int 1) (fun () ->
       let l = learner 1 in
       while List.length applied.(1) < 2 do
         List.iter
           (fun (_, m) ->
-            match m with Log.Learn (s, v) -> Log.Learner.learn l s v | _ -> ())
+            match m with Paxos.Learn (s, v) -> Paxos.Learner.learn l s v | _ -> ())
           (Proc.receive ());
-        Log.Learner.drain l ~read_register:false;
+        Paxos.Learner.drain l ~read_register:false;
         Proc.yield ()
       done);
   Engine.spawn eng (Id.of_int 2) (fun () ->
       while not !leader_done do
         Proc.yield ()
       done;
-      Log.Learner.drain (learner 2) ~read_register:true);
+      Paxos.Learner.drain (learner 2) ~read_register:true);
   ignore (Engine.run eng ~max_steps:5_000 ());
   Array.iteri
     (fun me log ->
