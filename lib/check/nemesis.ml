@@ -226,23 +226,25 @@ let install tl e =
       match st.fault with
       | Crash cs -> List.iter (fun (p, s) -> Engine.crash_at e (Id.of_int p) s) cs
       | Restart ps ->
-        (* A restart window is a crash-then-revive pair.  Both ends are
-           staged as guarded actions rather than through crash_at, so a
+        (* A restart window is a crash-then-revive pair, staged as one
+           guarded action at [at] rather than through crash_at, so a
            window composes with the scenario's own crash plan: a pid the
            scenario already killed (or that finished first) is left
-           alone, and the revive fires only if the crash actually
-           took. *)
+           alone.  When the crash takes, the same action hands the
+           revive to the engine's restart scheduler, whose pending
+           restart keeps the run alive until it lands.  The crash lands
+           at the start of step at + 1 and the revive at the start of
+           at + duration + 1. *)
         List.iter
           (fun pnum ->
             let pid = Id.of_int pnum in
             Engine.at e ~step:st.at (fun e ->
                 match Engine.status_of e pid with
-                | Engine.Ready | Engine.Unspawned -> Engine.crash_now e pid
-                | Engine.Done | Engine.Crashed -> ());
-            Engine.at e ~step:(st.at + st.duration) (fun e ->
-                if Engine.status_of e pid = Engine.Crashed
-                   && Engine.has_recovery e pid
-                then Engine.restart_now e pid))
+                | Engine.Ready | Engine.Unspawned ->
+                  Engine.crash_now e pid;
+                  if Engine.has_recovery e pid then
+                    Engine.restart_at e pid (st.at + st.duration + 1)
+                | Engine.Done | Engine.Crashed -> ()))
           ps
       | Partition _ | Degrade _ | Freeze _ -> ())
     tl;

@@ -28,12 +28,15 @@ type fault =
           scenarios own the crash plan — but available to hand-authored
           timelines *)
   | Restart of int list
-      (** crash-recovery window: each listed pid is crashed at [at] and
-          restarted through its [recover] closure at [at + duration].
-          Both ends are guarded: a pid already crashed (or finished) at
-          [at] is left alone, and the revive fires only if the pid is
-          actually down and was spawned with a recovery closure.  Drawn
-          by {!gen_restarts}, not {!gen}. *)
+      (** crash-recovery window: each listed pid is crashed at [at]
+          and takes no step in [at + 1 … at + duration]; it re-enters
+          through its [recover] closure at step [at + duration + 1].
+          The window is guarded at [at]: a pid already crashed (or
+          finished) is left alone.  When the crash takes and the pid
+          was spawned with a recovery closure, the revive is an engine
+          restart ([Engine.restart_at]) scheduled at [at], not a staged
+          action, so the pending revive keeps the run going until it
+          lands.  Drawn by {!gen_restarts}, not {!gen}. *)
 
 type stage = {
   at : int;       (** window start (global step) *)
@@ -85,9 +88,10 @@ val gen_restarts :
   t
 
 (** [install tl e] validates [tl] against the engine's process count and
-    registers it: crash bursts via [Engine.crash_at], restart windows as
-    guarded [Engine.at] crash/revive pairs, other window boundaries
-    as [Engine.at] actions.  Each boundary recomputes the complete fault
+    registers it: crash bursts via [Engine.crash_at], each restart
+    window as one guarded [Engine.at] crash at [at] that also schedules
+    the revive with [Engine.restart_at], other window boundaries as
+    [Engine.at] actions.  Each boundary recomputes the complete fault
     state (heal + restore + thaw-all, then re-apply every stage active at
     that instant), so overlapping windows compose without one stage's end
     un-doing another. *)

@@ -72,17 +72,21 @@ let max_blocked_backoff = 1024
    - [ready_n] counts Ready processes ([Ready] implies [has_pending], so
      [ready_n - view.count] is the stalled-but-alive population: frozen
      or backing off).
-   - [crash_heap]/[restart_heap]/[retry_heap] hold packed
-     [step * n + pid] keys for scheduled faults and backoff expiries;
-     the option/retry arrays stay the truth and stale heap entries are
-     skipped on pop.  Due steps are clamped to the current step at push
-     time so simultaneously-due events pop in ascending pid order — the
-     order the old O(n) scans applied them in (replay contract).
+   - [fault_heap] holds every scheduled crash and restart, [retry_heap]
+     the backoff expiries, as packed [(due * 2 + kind) * n + pid] keys
+     (kind 0 = crash, 1 = restart; retries use 0); the option/retry
+     arrays stay the truth and stale heap entries are skipped on pop.
+     Due steps are clamped to the current step at push time, so one
+     drain applies a step's crashes before its restarts, each in
+     ascending pid order — the order the old O(n) scans applied them in
+     (replay contract).  These heaps are the engine's only crash and
+     revive schedules: nothing outside them can bring a process back.
    - Quiescent iff [view.count = 0 && ready_n = 0 && restarts_pending = 0]:
-     an O(1) test replacing the old whole-array [frozen_pending] scan.
+     no process can run and no revive is pending — an O(1) test
+     replacing the old whole-array [frozen_pending] scan.
    - Due-step gates, so a step pays for a subsystem only when it has
      something due.  [fault_due] is at most the earliest due step in the
-     three heaps (lowered on every push, recomputed after a drain); the
+     two heaps (lowered on every push, recomputed after a drain); the
      network keeps its own ([Network.next_wake], which skips links a
      partition holds until the heal).  A drain or tick
      before its gate opens would find nothing due, so skipping it moves
@@ -113,8 +117,7 @@ type t = {
   mutable stop : stop_reason;  (* why the last [run] returned *)
   mutable coins : int;
   mutable sched_log : int list option;  (* reversed; None = not recording *)
-  crash_heap : Minheap.t;
-  restart_heap : Minheap.t;
+  fault_heap : Minheap.t;
   retry_heap : Minheap.t;
   mutable ready_n : int;
   mutable done_n : int;
@@ -130,7 +133,7 @@ let has_pending p =
   | Start _ | Pend _ -> true
 
 (* Lower bound of [x] in the ascending valid prefix [a[0, count)]. *)
-let lower_bound a count x =
+let lower_bound (a : int array) count x =
   let lo = ref 0 and hi = ref count in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -242,8 +245,7 @@ let create ?(seed = 0xC0FFEE) ?delay ?sched ?(trace_capacity = 0)
       coins = 0;
       sched_log = None;
       (* One pending entry per process fits; more grow the heap. *)
-      crash_heap = Minheap.create ~capacity:n ();
-      restart_heap = Minheap.create ~capacity:n ();
+      fault_heap = Minheap.create ~capacity:n ();
       retry_heap = Minheap.create ~capacity:n ();
       ready_n = 0;
       done_n = 0;
@@ -446,15 +448,21 @@ let check_schedule ~api ~existing step =
          (if api = "restart_at" then "restart" else "crash"))
   | _ -> ()
 
-(* Heap keys pack [due * n + pid]; due is clamped to the present so that
-   everything already due shares one due value and therefore pops in
-   ascending pid order (see the invariant block above).  One push per
-   None→Some transition keeps heap entries 1:1 with live schedules.
-   Every push also lowers the [fault_due] gate. *)
-let push_due t heap ~step pid =
+(* Heap keys pack [(due * 2 + kind) * n + pid]; due is clamped to the
+   present so that everything already due shares one due value and
+   therefore pops kind by kind in ascending pid order (see the invariant
+   block above).  One push per None→Some transition keeps heap entries
+   1:1 with live schedules.  Every push also lowers the [fault_due]
+   gate. *)
+let push_due t heap ~kind ~step pid =
   let due = if step < t.step then t.step else step in
-  Minheap.push heap ((due * t.n_procs) + pid);
+  Minheap.push heap ((((due * 2) + kind) * t.n_procs) + pid);
   if due < t.fault_due then t.fault_due <- due
+
+(* The earliest due step in [h], stale entries included ([max_int] when
+   empty). *)
+let heap_due t h =
+  if Minheap.is_empty h then max_int else Minheap.min_key h / (2 * t.n_procs)
 
 let crash_at t pid step =
   let i = Id.to_int pid in
@@ -462,7 +470,7 @@ let crash_at t pid step =
   if t.procs.(i).p_status = Crashed then
     invalid_arg "Engine.crash_at: process already crashed";
   if t.crash_step.(i) = None then
-    push_due t t.crash_heap ~step i;
+    push_due t t.fault_heap ~kind:0 ~step i;
   t.crash_step.(i) <- Some step
 
 let crash_now t pid = crash_at t pid t.step
@@ -503,12 +511,10 @@ let restart_at t pid step =
   | _, Some s when s <= step -> ()
   | _, _ -> invalid_arg "Engine.restart_at: no crash to recover from");
   if t.restart_step.(i) = None then begin
-    push_due t t.restart_heap ~step i;
+    push_due t t.fault_heap ~kind:1 ~step i;
     t.restarts_pending <- t.restarts_pending + 1
   end;
   t.restart_step.(i) <- Some step
-
-let restart_now t pid = restart_at t pid t.step
 
 let freeze t pid =
   let i = Id.to_int pid in
@@ -590,22 +596,19 @@ let apply_restart t i =
   t.restart_step.(i) <- None;
   t.restarts_pending <- t.restarts_pending - 1
 
-(* Pop every due key from [heap] and hand the pid to [apply] when the
-   backing option array still has a schedule (a cleared slot means the
-   entry went stale; skip it).  Clamped keys guarantee due <= step
-   implies the recorded schedule step is also <= step. *)
-let drain_crashes t =
-  let h = t.crash_heap and n = t.n_procs in
-  while (not (Minheap.is_empty h)) && Minheap.min_key h / n <= t.step do
-    let i = Minheap.pop h mod n in
-    if t.crash_step.(i) <> None then apply_crash t i
-  done
-
-let drain_restarts t =
-  let h = t.restart_heap and n = t.n_procs in
-  while (not (Minheap.is_empty h)) && Minheap.min_key h / n <= t.step do
-    let i = Minheap.pop h mod n in
-    if t.restart_step.(i) <> None then apply_restart t i
+(* Pop every due key from the fault heap and apply its crash or restart
+   when the backing option array still has a schedule (a cleared slot
+   means the entry went stale; skip it).  Clamped keys guarantee due <=
+   step implies the recorded schedule step is also <= step. *)
+let drain_faults t =
+  let h = t.fault_heap and n = t.n_procs in
+  while heap_due t h <= t.step do
+    let key = Minheap.pop h in
+    let i = key mod n in
+    if (key / n) land 1 = 0 then begin
+      if t.crash_step.(i) <> None then apply_crash t i
+    end
+    else if t.restart_step.(i) <> None then apply_restart t i
   done
 
 (* A backoff expiry re-admits its process unless its world changed while
@@ -614,22 +617,16 @@ let drain_restarts t =
    this stale entry. *)
 let drain_retries t =
   let h = t.retry_heap and n = t.n_procs in
-  while (not (Minheap.is_empty h)) && Minheap.min_key h / n <= t.step do
+  while heap_due t h <= t.step do
     let i = Minheap.pop h mod n in
     let p = t.procs.(i) in
     if p.p_status = Ready && (not t.frozen.(i)) && p.retry_at <= t.step then
       rinsert t i
   done
 
-let heap_due h n = if Minheap.is_empty h then max_int else Minheap.min_key h / n
-
-(* The earliest due step left in the three heaps (stale entries
-   included, which only makes it early). *)
+(* Stale entries only make the gate early. *)
 let refresh_fault_due t =
-  let n = t.n_procs in
-  t.fault_due <-
-    min (heap_due t.crash_heap n)
-      (min (heap_due t.restart_heap n) (heap_due t.retry_heap n))
+  t.fault_due <- Int.min (heap_due t t.fault_heap) (heap_due t t.retry_heap)
 
 let tick t =
   if t.step >= Network.next_wake t.net then Network.tick t.net ~now:t.step
@@ -640,10 +637,7 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
   while !reason = None do
     (* [fire_actions] sits between the drains, so take the gate once. *)
     let due = t.step >= t.fault_due in
-    if due then begin
-      drain_crashes t;
-      drain_restarts t
-    end;
+    if due then drain_faults t;
     fire_actions t;
     if due then begin
       drain_retries t;
@@ -653,9 +647,10 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
     else if t.step >= deadline then reason := Some Step_limit
     else if t.view.Sched.count = 0 then begin
       if t.ready_n > 0 || t.restarts_pending > 0 then begin
-        (* Everyone alive is frozen or backing off (or a restart is still
-           due): let time pass so deliveries, staged thaws, retries and
-           restarts still happen; bounded by the deadline above. *)
+        (* Everyone alive is frozen or backing off, or a crashed process
+           has a revive pending: let time pass so deliveries, staged
+           thaws, retries and restarts still happen; bounded by the
+           deadline above. *)
         t.step <- t.step + 1;
         tick t
       end
@@ -693,7 +688,7 @@ let run t ?(max_steps = 1_000_000) ?(until = fun () -> false) () =
          longer parks it in the retry heap. *)
       if fin = Suspended && p.retry_at > t.step then begin
         rremove t chosen;
-        push_due t t.retry_heap ~step:p.retry_at chosen
+        push_due t t.retry_heap ~kind:0 ~step:p.retry_at chosen
       end;
       if t.has_timely then Sched.note_step t.sched ~pid:chosen ~n:t.n_procs;
       tick t

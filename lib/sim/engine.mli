@@ -14,7 +14,8 @@ type t
 
 type stop_reason =
   | Stopped     (** the [until] predicate became true *)
-  | Quiescent   (** every process finished or crashed *)
+  | Quiescent   (** no process is [Ready] and no restart is pending:
+                    every process finished or crashed for good *)
   | Step_limit  (** [max_steps] reached *)
 
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
@@ -75,8 +76,8 @@ val spawn : t -> ?recover:(unit -> unit) -> Mm_core.Id.t -> (unit -> unit) -> un
     takes any step.  Raises [Invalid_argument] on a negative step, if
     [pid] has already crashed, or if [pid] already has a pending crash
     scheduled at a {e different} step (re-scheduling the same step is a
-    no-op).  {!crash_at}, {!crash_now} and {!restart_at} share this
-    validation family. *)
+    no-op).  {!crash_at} and {!restart_at} share this validation
+    family. *)
 val crash_at : t -> Mm_core.Id.t -> int -> unit
 
 (** Crash immediately (at the current step). *)
@@ -109,11 +110,11 @@ val crash_plan : t -> (int * int) list -> bool array
     scheduled to crash by [step] (no crash to recover from), or if a
     pending restart exists at a {e different} step (re-scheduling the
     same step is a no-op).  A restart due while the process is not
-    crashed (e.g. it finished first) is discarded. *)
+    crashed (e.g. it finished first) is discarded.  A pending restart
+    keeps {!run} going: while one is due, a run with no runnable process
+    lets time pass instead of returning [Quiescent].  These schedules
+    are the engine's only way back for a crashed process. *)
 val restart_at : t -> Mm_core.Id.t -> int -> unit
-
-(** Restart immediately (at the current step). *)
-val restart_now : t -> Mm_core.Id.t -> unit
 
 (** Was [pid] spawned with a [recover] closure? *)
 val has_recovery : t -> Mm_core.Id.t -> bool
@@ -167,8 +168,8 @@ val correct_count : t -> int
 val fold_correct : t -> ('a -> Mm_core.Id.t -> 'a) -> 'a -> 'a
 
 (** [run t ()] executes steps until [until] holds (checked between
-    steps), no process is runnable, or [max_steps] (default 1_000_000)
-    elapse.  [run] may be called repeatedly to continue a paused run. *)
+    steps), no process is [Ready] and no restart is pending
+    ([Quiescent]), or [max_steps] (default 1_000_000) elapse.  [run] may be called repeatedly to continue a paused run. *)
 val run : t -> ?max_steps:int -> ?until:(unit -> bool) -> unit -> stop_reason
 
 (** {2 The run record}

@@ -631,8 +631,8 @@ let test_trial_setup_bound () =
         true (per_trial <= 3000.0))
     [ "paxos"; "mutex"; "smr" ]
 
-let clean_sweep name ~budget ~params =
-  let report = Runner.sweep (scenario name) ~master_seed:1 ~budget ~params () in
+let clean_sweep ?(master_seed = 1) name ~budget ~params =
+  let report = Runner.sweep (scenario name) ~master_seed ~budget ~params () in
   (match report.Runner.violation with
   | None -> ()
   | Some cx ->
@@ -1466,6 +1466,67 @@ let test_kv_restart_recovery_violation () =
       Alcotest.(check bool) "replayed trace" true
         (cx.Runner.trace = cx'.Runner.trace))
 
+(* A restart window's revive is an engine restart: while it is pending
+   the run may not stop [Quiescent], even once every other process has
+   finished.  p0 returns at once, p1 spins until its window crashes it
+   and must come back through [recover] at step at + duration + 1. *)
+let test_restart_window_keeps_run_alive () =
+  let at = 3 and duration = 5 in
+  let eng =
+    Engine.create ~seed:5 ~trace_capacity:64 ~domain:(Mm_core.Domain.full 2)
+      ~link:Net.Reliable ~n:2 ()
+  in
+  let p0 = Id.of_int 0 and p1 = Id.of_int 1 in
+  let recovered = ref false in
+  Engine.spawn eng p0 (fun () -> ());
+  Engine.spawn eng p1
+    ~recover:(fun () -> recovered := true)
+    (fun () ->
+      let rec spin () =
+        Proc.yield ();
+        spin ()
+      in
+      spin ());
+  Nemesis.install
+    [ { Nemesis.at; duration; fault = Nemesis.Restart [ 1 ] } ]
+    eng;
+  let reason = Engine.run eng ~max_steps:1_000 () in
+  Alcotest.(check bool) "run ends quiescent" true (reason = Engine.Quiescent);
+  Alcotest.(check bool) "p1 revived through recover" true !recovered;
+  Alcotest.(check bool) "p1 done" true (Engine.status_of eng p1 = Engine.Done);
+  let restarted =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.pid = p1 && e.Trace.op = Trace.Restarted then
+          Some e.Trace.step
+        else None)
+      (Engine.summary eng).Engine.trace
+  in
+  Alcotest.(check (list int)) "restarted at at + duration + 1"
+    [ at + duration + 1 ] restarted
+
+(* The three paxos sweeps that used to stop before a pending revive and
+   report a false recovery-liveness violation
+   ([mm check paxos --restarts --budget 2000 --seed 3], the
+   [--nemesis --restarts] one at budget 100 seed 4, and its emulated
+   twin at budget 160 seed 2). *)
+let test_paxos_restart_sweeps_clean () =
+  let base = { Scenario.default_params with Scenario.restarts = true } in
+  List.iter
+    (fun (params, budget, master_seed) ->
+      clean_sweep "paxos" ~master_seed ~budget ~params)
+    [
+      (base, 2_000, 3);
+      ({ base with Scenario.nemesis = true }, 100, 4);
+      ( {
+          base with
+          Scenario.nemesis = true;
+          backend = Mm_mem.Mem.Backend.Emulated;
+        },
+        160,
+        2 );
+    ]
+
 (* --- parameter validation: --settle and --chunk must be positive --- *)
 
 let rejects f =
@@ -1683,6 +1744,10 @@ let () =
             test_pre_restart_seeds_unchanged;
           Alcotest.test_case "kv recovery-liveness violation" `Quick
             test_kv_restart_recovery_violation;
+          Alcotest.test_case "pending revive keeps run alive" `Quick
+            test_restart_window_keeps_run_alive;
+          Alcotest.test_case "paxos restart sweeps clean" `Quick
+            test_paxos_restart_sweeps_clean;
         ] );
       ( "validation",
         [

@@ -552,7 +552,7 @@ let test_restart_discarded_when_done () =
     (Engine.status_of eng p0 = Engine.Done);
   Alcotest.(check bool) "recovery closure never ran" false !recovered
 
-(* crash_at / crash_now / restart_at / restart_now share one validation
+(* crash_at / crash_now / restart_at share one validation
    family: every harness-bug shape raises Invalid_argument. *)
 let test_crash_api_validation () =
   let cases =
