@@ -645,7 +645,29 @@ let check_cmd =
   in
   let settle_arg =
     Arg.(value & opt (some pos_int) None & info [ "settle" ] ~docv:"S"
-           ~doc:"Omega/kv + --nemesis: steps after the last fault clears                  within which leadership must stop changing (omega;                  default: warmup / 4) or every pre-heal request must                  complete (kv; default: max-steps / 2). Must be positive.")
+           ~doc:"Omega/kv + --nemesis: steps after the last fault clears \
+                 within which leadership must stop changing (omega; \
+                 default: warmup / 4) or every pre-heal request must \
+                 complete (kv; default: max-steps / 2). Must be positive.")
+  in
+  let warmup_arg =
+    Arg.(value & opt (some pos_int) None & info [ "warmup" ] ~docv:"S"
+           ~doc:"Omega: each trial's step cap is warmup + window \
+                 (default: 60000 + 10000); nemesis and restart windows \
+                 clear within the first quarter and half of the warmup. \
+                 A trial whose window has held ends before the cap; one \
+                 whose leadership keeps changing runs to it and is judged \
+                 on its last --window steps. Must be positive.")
+  in
+  let window_arg =
+    Arg.(value & opt (some pos_int) None & info [ "window" ] ~docv:"W"
+           ~doc:"Omega: steps the steady-state window must hold (default: \
+                 10000). It opens once the trial's last scheduled fault \
+                 (crash, nemesis heal, restart-window end) has passed and \
+                 restarts after every leader-output change at a correct \
+                 process and, on trials without crashes or restarts, \
+                 after every protocol send; the trial ends once it has \
+                 held W steps. Must be positive.")
   in
   let chunk_arg =
     Arg.(value & opt (some pos_int) None & info [ "chunk" ] ~docv:"C"
@@ -678,8 +700,8 @@ let check_cmd =
   in
   let run (module S : Scenario.S) family n seed budget max_crashes max_steps
       backend impl variant drop expect_stall replay trace jobs entries
-      commands nemesis restarts settle chunk shards clients no_local_reads
-      report_domains =
+      commands nemesis restarts settle warmup window chunk shards clients
+      no_local_reads report_domains =
     let* graph = make_graph family n seed in
     let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
     let variant = omega_variant ~drop variant in
@@ -702,6 +724,8 @@ let check_cmd =
         nemesis;
         restarts;
         settle;
+        warmup;
+        window;
         shards;
         clients;
         local_reads = not no_local_reads;
@@ -748,7 +772,8 @@ let check_cmd =
              $ variant_arg ~doc:"Omega notification mechanism: reliable | lossy."
              $ drop_arg $ expect_stall_arg $ replay_arg $ trace_arg $ jobs_arg
              $ entries_arg $ commands_arg $ nemesis_arg $ restarts_arg
-             $ settle_arg $ chunk_arg $ shards_arg $ clients_arg
+             $ settle_arg $ warmup_arg $ window_arg $ chunk_arg $ shards_arg
+             $ clients_arg
              $ no_local_reads_arg $ report_domains_arg))
 
 (* --- graph analysis --- *)

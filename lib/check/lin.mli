@@ -9,9 +9,11 @@
 
     The checker is the classic Wing–Gong search: repeatedly pick a
     *minimal* operation (one no other pending operation strictly
-    precedes in real time), apply it to the register state, and recurse;
-    memoization on (remaining-set, register value) keeps the search
-    polynomial in practice.  Histories recorded by {!Mm_abd.Abd} runs or
+    precedes in real time), apply it to the register state, and recurse,
+    memoizing on (remaining-set, register value).  The memo prunes
+    repeated states but does not bound the search: it is exponential in
+    the worst case, and a 45-op history on 2 keys of a kv trial runs
+    past 20 s.  Histories recorded by {!Mm_abd.Abd} runs or
     by hand are checked directly; unlike {!Mm_abd.Abd.atomicity_violations}
     this checker sees only invocation/response values and intervals —
     no protocol timestamps — so it validates the history the way an

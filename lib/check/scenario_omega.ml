@@ -79,25 +79,34 @@ let gen (cfg : cfg) rng =
   in
   { variant; plan = Fault_plan.draw cfg.plan rng ~crashes }
 
-let execute ?arena:_ (cfg : cfg) (t : trial) =
-  Omega.run ~seed:t.plan.engine_seed ~trace_capacity:cfg.trace_tail
-    ~crashes:t.plan.crashes ~warmup:cfg.warmup ~window:cfg.window
-    ?prepare:(Fault_plan.prepare t.plan) ~backend:cfg.plan.backend
-    ~variant:t.variant ~n:cfg.plan.n ()
+(* The last fault to clear is either the end of the last nemesis or
+   restart window or the last crash (which never heals but stops
+   changing the membership). *)
+let heal_by { Fault_plan.crashes; nemesis; restarts; _ } =
+  Int.max
+    (Int.max (Nemesis.heal_step nemesis) (Nemesis.heal_step restarts))
+    (List.fold_left (fun acc (_, s) -> Int.max acc s) 0 crashes)
 
 (* A crashed process can leave a notification unacknowledged forever,
    which the mechanisms may legitimately keep retransmitting — assert
-   steady-state silence only on crash-free trials. *)
+   steady-state silence only on trials without crashes or restarts. *)
+let silence_monitored { Fault_plan.crashes; restarts; _ } =
+  crashes = [] && restarts = []
+
+(* The window opens once the last fault has cleared and the run ends once
+   it has held [cfg.window] steps (see {!Omega.stop_rule}); the warmup
+   only sets the cap. *)
+let execute ?arena:_ (cfg : cfg) (t : trial) =
+  Omega.run ~seed:t.plan.engine_seed ~trace_capacity:cfg.trace_tail
+    ~crashes:t.plan.crashes ~warmup:cfg.warmup ~window:cfg.window
+    ~stop_rule:{ opens_at = heal_by t.plan; silent = silence_monitored t.plan }
+    ?prepare:(Fault_plan.prepare t.plan) ~backend:cfg.plan.backend
+    ~variant:t.variant ~n:cfg.plan.n ()
+
 let monitors (cfg : cfg) (t : trial) =
-  let { Fault_plan.crashes; nemesis; restarts; _ } = t.plan in
-  (* The last fault to clear is either the end of the last nemesis
-     window or the last crash (which never heals but stops changing the
-     membership); leadership must settle within [cfg.settle] of it. *)
-  let heal_by =
-    max
-      (max (Nemesis.heal_step nemesis) (Nemesis.heal_step restarts))
-      (List.fold_left (fun acc (_, s) -> max acc s) 0 crashes)
-  in
+  let { Fault_plan.nemesis; restarts; _ } = t.plan in
+  (* Leadership must settle within [cfg.settle] of the last fault. *)
+  let heal_by = heal_by t.plan in
   Fault_plan.resilience cfg.plan (fun (o : outcome) -> o.Omega.run)
   @ ("omega-stable", Monitor.omega_stable)
     :: ((if nemesis <> [] then
@@ -116,7 +125,7 @@ let monitors (cfg : cfg) (t : trial) =
             ]
           else [])
        @
-       if crashes = [] && restarts = [] then
+       if silence_monitored t.plan then
          (* The steady state is register traffic only: plain silence
             under native registers, silence modulo quorum rounds under
             the emulation (every window message must be accounted to a

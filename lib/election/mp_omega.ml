@@ -70,5 +70,4 @@ let run ?(seed = 1) ?(hb_period = 8) ?(timeout = 64) ?(adaptive = false)
       let report = report (Id.to_int p) in
       Engine.spawn eng p (mp_process ~n ~hb_period ~timeout ~adaptive ~report p))
     (Id.all n);
-  ignore (Engine.run eng ~max_steps:warmup ());
-  measure ~window_start:warmup ~window
+  measure ~opens_at:warmup ~silent:false ~window ~cap:(warmup + window)

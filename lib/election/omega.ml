@@ -34,14 +34,23 @@ type outcome = {
   run : Engine.summary;
 }
 
+type stop_rule = {
+  opens_at : int;
+  silent : bool;
+}
+
 (* The common leader output of the processes that never crash, if they
-   all agree on one. *)
+   all agree on one (-1: no correct process seen yet). *)
 let agreed_leader ~crashed final_leaders =
-  let vals = ref [] in
-  Array.iteri
-    (fun i l -> if not crashed.(i) then vals := l :: !vals)
-    final_leaders;
-  match List.sort_uniq compare !vals with [ Some l ] -> Some l | _ -> None
+  let rec go i (l : int) =
+    if i = Array.length final_leaders then if l < 0 then None else Some l
+    else if crashed.(i) then go (i + 1) l
+    else
+      match final_leaders.(i) with
+      | Some l' when l < 0 || l' = l -> go (i + 1) l'
+      | _ -> None
+  in
+  go 0 (-1)
 
 (* Ω as observed: a common correct leader, already stable when the
    steady-state window opened. *)
@@ -60,23 +69,68 @@ let leader_log eng ~crashed =
       incr total_changes
     end
   in
-  let measure ~window_start ~window =
-    let net = Engine.network eng and store = Engine.store eng in
-    let net_snap = Network.snapshot net in
-    let mem_snap = Mem.snapshot store in
-    let emu_snap = Mem.emulated_msgs store in
-    ignore (Engine.run eng ~max_steps:window ());
+  let net = Engine.network eng and store = Engine.store eng in
+  let snapshot () =
+    (Network.snapshot net, Mem.snapshot store, Mem.emulated_msgs store)
+  in
+  (* Protocol sends: those not charged to emulated register rounds. *)
+  let protocol_sends () = Network.sent_count net - Mem.emulated_msgs store in
+  let outcome window_start (net0, mem0, emu0) =
     {
       final_leaders;
       agreed_leader = agreed_leader ~crashed final_leaders;
       last_change_step = !last_change;
       total_changes = !total_changes;
-      window_net = Network.diff_since net net_snap;
-      window_mem = Mem.diff_since store mem_snap;
-      window_emu_msgs = Mem.emulated_msgs store - emu_snap;
+      window_net = Network.diff_since net net0;
+      window_mem = Mem.diff_since store mem0;
+      window_emu_msgs = Mem.emulated_msgs store - emu0;
       window_start;
       run = Engine.summary eng;
     }
+  in
+  let run_to step =
+    let remaining = step - Engine.now eng in
+    if remaining > 0 then ignore (Engine.run eng ~max_steps:remaining ())
+  in
+  let measure ~opens_at ~silent ~window ~cap =
+    let fixed_at = cap - window in
+    run_to (Int.min opens_at fixed_at);
+    if Engine.now eng >= fixed_at then begin
+      (* No window opening now could hold before the cap: the fixed
+         window of the last [window] steps. *)
+      let start = Engine.now eng and snap = snapshot () in
+      ignore (Engine.run eng ~max_steps:window ());
+      outcome start snap
+    end
+    else begin
+      (* The window opens now and restarts after every leader change
+         (and, when [silent], every protocol send); the run stops once
+         it has held [window] steps.  [until] is read once per step, so
+         a change made during step s restarts the window at s + 1. *)
+      let start = ref (Engine.now eng) and snap = ref (snapshot ()) in
+      let changes = ref !total_changes and sends = ref (protocol_sends ()) in
+      let fixed = ref None in
+      let until () =
+        let now = Engine.now eng in
+        if
+          !total_changes <> !changes
+          || (silent && protocol_sends () <> !sends)
+        then begin
+          changes := !total_changes;
+          sends := protocol_sends ();
+          start := now;
+          snap := snapshot ()
+        end;
+        if now = fixed_at then fixed := Some (snapshot ());
+        now - !start >= window
+      in
+      match Engine.run eng ~max_steps:(cap - Engine.now eng) ~until () with
+      | Engine.Stopped | Engine.Quiescent -> outcome !start !snap
+      | Engine.Step_limit ->
+        (* The cap with no held window: judge the last [window] steps,
+           as the fixed window does. *)
+        outcome fixed_at (Option.get !fixed)
+    end
   in
   (report, measure)
 
@@ -177,7 +231,7 @@ let omega_process ~n ~eta ~mech ~state_regs ~report me () =
 
 let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
     ?(crashes = []) ?(memory_failures = []) ?(warmup = 60_000)
-    ?(window = 20_000) ?delay ?prepare ?(sched_base = Sched.Random)
+    ?(window = 20_000) ?stop_rule ?delay ?prepare ?(sched_base = Sched.Random)
     ?backend ~variant ~n () =
   let link =
     match variant with
@@ -233,7 +287,7 @@ let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
   (* Warmup, pausing at each scheduled memory failure to flip the host's
      registers into omission mode. *)
   let failures =
-    List.sort (fun (_, a) (_, b) -> compare a b) memory_failures
+    List.sort (fun (_, a) (_, b) -> Int.compare a b) memory_failures
   in
   List.iter
     (fun (pid, step) ->
@@ -241,6 +295,9 @@ let run ?(seed = 1) ?(eta = 16) ?(trace_capacity = 0) ?(timely = [ (0, 4) ])
       if remaining > 0 then ignore (Engine.run eng ~max_steps:remaining ());
       Mem.fail_host_memory store (Id.of_int pid))
     failures;
-  let remaining = warmup - Engine.now eng in
-  if remaining > 0 then ignore (Engine.run eng ~max_steps:remaining ());
-  measure ~window_start:warmup ~window
+  let opens_at, silent =
+    match stop_rule with
+    | None -> (warmup, false)
+    | Some { opens_at; silent } -> (opens_at, silent)
+  in
+  measure ~opens_at ~silent ~window ~cap:(warmup + window)

@@ -35,10 +35,28 @@ type outcome = {
   window_emu_msgs : int;
       (** messages the emulated register backend charged inside the
           window (0 under the native backend) *)
-  window_start : int;  (** global step at which the window opened *)
+  window_start : int;
+      (** global step at which the window opened: [warmup] for the fixed
+          window; under a {!stop_rule}, the step the held window opened,
+          or [warmup] when the run reached its cap without one *)
   run : Mm_sim.Engine.summary;
       (** whole-run steps, costs, crashes and trace ([reason] is the
           window's) *)
+}
+
+(** A stop rule for the steady-state window.  Ω promises a stable
+    leader {e eventually}, with no bound on when, so the window is judged
+    where Ω has held rather than at a fixed step.  It opens at
+    [opens_at] (the last scheduled fault: crash, nemesis heal or
+    restart-window end), or at once if that step has passed, and
+    restarts after every leader-output change at a correct process and,
+    when [silent], after every send not charged to emulated register
+    rounds.  The run ends once the window has held [window] steps, or at
+    the cap of [warmup + window] steps; a run that reaches the cap is
+    judged on its last [window] steps, exactly as the fixed window. *)
+type stop_rule = {
+  opens_at : int;
+  silent : bool;
 }
 
 (** [run ~variant ~n ()] simulates the algorithm.
@@ -55,7 +73,9 @@ type outcome = {
       paper's §6 question about failures of the shared memory.
     - [warmup]: steps to run before the measurement window (default
       60_000); [window]: steps of steady-state measurement (default
-      20_000).  The run executes warmup + window steps in total.
+      20_000).  The run executes warmup + window steps in total, unless
+      [stop_rule] ends it earlier; without one the window is fixed, from
+      [warmup] to [warmup + window].
     - [delay], [seed], [sched_base] configure the engine; the timeliness
       list is enforced on top of the base policy. *)
 val run :
@@ -67,6 +87,7 @@ val run :
   ?memory_failures:(int * int) list ->
   ?warmup:int ->
   ?window:int ->
+  ?stop_rule:stop_rule ->
   ?delay:Mm_net.Network.delay ->
   ?prepare:(Mm_sim.Engine.t -> unit) ->
   ?sched_base:Mm_sim.Sched.base ->
@@ -84,9 +105,12 @@ val holds : outcome -> bool
 (** [leader_log eng ~crashed] is the measurement harness both Ω
     implementations share.  [report pid l] records that [pid]'s leader
     output changed to [l] (a change at a process in [crashed] is not
-    counted); [measure ~window_start ~window] runs the steady-state
-    window of [window] steps and builds the outcome. *)
+    counted); [measure ~opens_at ~silent ~window ~cap] runs the engine
+    to [opens_at], then applies the {!stop_rule} with that window length
+    and step cap, and builds the outcome.  [opens_at = cap - window] is
+    the fixed window. *)
 val leader_log :
   Mm_sim.Engine.t ->
   crashed:bool array ->
-  (int -> int -> unit) * (window_start:int -> window:int -> outcome)
+  (int -> int -> unit)
+  * (opens_at:int -> silent:bool -> window:int -> cap:int -> outcome)

@@ -270,13 +270,13 @@ let alloc s ~name ~owner ~shared_with init =
    above 8 members.  Top-level functions with tail calls only — no
    closures over [a] and [i], no ref cells — so a memo miss allocates
    nothing.  No bound on [i] needed: anything absent is a violation. *)
-let rec scan a i j hi =
+let rec scan (a : int array) (i : int) j hi =
   j < hi
   &&
   let v = Array.unsafe_get a j in
   v = i || (v < i && scan a i (j + 1) hi)
 
-let rec is_member a i lo hi =
+let rec is_member (a : int array) (i : int) lo hi =
   if hi - lo <= 8 then scan a i lo hi
   else
     let mid = (lo + hi) lsr 1 in

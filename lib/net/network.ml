@@ -497,6 +497,7 @@ let stats t =
     in_flight = t.in_flight_count;
   }
 
+let sent_count t = t.sent
 let snapshot = stats
 
 let diff_since t (s0 : stats) =

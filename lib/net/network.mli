@@ -166,6 +166,10 @@ val account : t -> sent:int -> delivered:int -> unit
 
 val stats : t -> stats
 
+(** [sent_count t] is [(stats t).sent] without building the record, for
+    predicates read between every two steps. *)
+val sent_count : t -> int
+
 (** Stats over a window: [snapshot] then later [diff_since] gives the
     traffic in between (used for steady-state measurements in §5). *)
 val snapshot : t -> stats

@@ -73,7 +73,10 @@ val spawn : t -> ?recover:(unit -> unit) -> Mm_core.Id.t -> (unit -> unit) -> un
 
 (** [crash_at t pid step] schedules a crash: [pid] executes no step at or
     after global step [step].  [crash_at t pid 0] crashes it before it
-    takes any step.  Raises [Invalid_argument] on a negative step, if
+    takes any step.  One exception: a crash staged for the current step
+    from an {!at} action ({!crash_now} inside the action, as every
+    nemesis restart window does) misses that step's drain and lands at
+    the next step's, so the victim can still take step [step].  Raises [Invalid_argument] on a negative step, if
     [pid] has already crashed, or if [pid] already has a pending crash
     scheduled at a {e different} step (re-scheduling the same step is a
     no-op).  {!crash_at} and {!restart_at} share this validation

@@ -77,6 +77,8 @@ let bad =
     ([], [ "kv"; "--max-steps"; "0" ]);
     ([], [ "kv"; "--max-steps=-3" ]);
     ([], [ "check"; "hbo"; "--trace=-1" ]);
+    ([], [ "check"; "omega"; "--warmup"; "0" ]);
+    ([], [ "check"; "omega"; "--window=-5" ]);
     ([], [ "consensus"; "--impl"; "direct" ]);
     ([], [ "check"; "hbo"; "--impl"; "direct" ]);
     ([], [ "paxos"; "-n"; "3"; "--oracle"; "static:99" ]);
@@ -96,6 +98,9 @@ let good =
     ([], [ "kv"; "--timeout"; "4611686018427387903" ]);
     ([], [ "mutex"; "--algo"; "mm"; "--entries"; "1" ]);
     ([], [ "check"; "smr"; "--trace"; "0" ]);
+    ( [],
+      [ "check"; "omega"; "-n"; "3"; "--warmup"; "4000"; "--window"; "1000";
+        "--budget"; "2" ] );
     ( [],
       [ "check"; "hbo"; "--impl"; "direct"; "-g"; "edgeless"; "-n"; "4";
         "--budget"; "1" ] );
