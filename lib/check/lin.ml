@@ -9,50 +9,60 @@ type event = {
   finish_t : int;
 }
 
+let value e = match e.op with Read v | Write v -> v
+
+(* By value, a value's write before its reads. *)
+let by_value a b =
+  match (Int.compare (value a) (value b), a.op, b.op) with
+  | 0, Write _, Read _ -> -1
+  | 0, Read _, Write _ -> 1
+  | c, _, _ -> c
+
 let check ?(init = 0) events =
-  let evs = Array.of_list events in
+  (* The initial value's write finished before everything. *)
+  let first =
+    { proc = -1; op = Write init; start_t = min_int; finish_t = min_int }
+  in
+  let evs = Array.of_list (first :: events) in
+  Array.stable_sort by_value evs;
   let m = Array.length evs in
-  if m > 62 then invalid_arg "Lin.check: history longer than 62 events";
-  Array.iter
-    (fun e ->
+  let ok = ref true and zones = ref [] and i = ref 0 in
+  while !i < m do
+    (* A value's cluster: its write [w], then the reads that returned
+       it; a cluster led by a read is of a value never written. *)
+    let j = !i and w = evs.(!i) in
+    (match w.op with Read _ -> ok := false | Write _ -> ());
+    let lo = ref max_int and hi = ref min_int in
+    while !i < m && value evs.(!i) = value w do
+      let e = evs.(!i) in
       if e.finish_t < e.start_t then
-        invalid_arg "Lin.check: event finishes before it starts")
-    evs;
-  if m = 0 then true
-  else begin
-    (* States already proven dead ends: (remaining mask, register value). *)
-    let failed : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
-    let rec go mask value =
-      mask = 0
-      || (not (Hashtbl.mem failed (mask, value)))
-         &&
-         let ok =
-           (* An op is minimal when nothing else still pending finished
-              strictly before it started; min-finish over the whole mask
-              works because an op cannot finish before its own start. *)
-           let min_fin = ref max_int in
-           for i = 0 to m - 1 do
-             if mask land (1 lsl i) <> 0 && evs.(i).finish_t < !min_fin then
-               min_fin := evs.(i).finish_t
-           done;
-           let rec try_at i =
-             i < m
-             && ((mask land (1 lsl i) <> 0
-                 && evs.(i).start_t <= !min_fin
-                 &&
-                 let rest = mask lxor (1 lsl i) in
-                 match evs.(i).op with
-                 | Write v -> go rest v
-                 | Read v -> v = value && go rest value)
-                || try_at (i + 1))
-           in
-           try_at 0
-         in
-         if not ok then Hashtbl.replace failed (mask, value) ();
-         ok
-    in
-    go ((1 lsl m) - 1) init
-  end
+        invalid_arg "Lin.check: event finishes before it starts";
+      (match e.op with
+      | Write _ when !i > j ->
+        invalid_arg "Lin.check: a value written twice (or init written)"
+      | _ -> if e.finish_t < w.start_t then ok := false);
+      lo := Int.min !lo e.finish_t;
+      hi := Int.max !hi e.start_t;
+      incr i
+    done;
+    (* The zone from the earliest finish to the latest start: forward
+       when [lo < hi], as (left end, right end, forward). *)
+    zones := (Int.min !lo !hi, Int.max !lo !hi, !lo < !hi) :: !zones
+  done;
+  (* No forward zone may overlap another, nor strictly contain a backward
+     one.  Sweep by left end, backward zones first among equal ends,
+     [reach] the right end of the last forward zone (which, clear of the
+     earlier ones, reaches furthest). *)
+  let by_left (l, _, f) (l', _, f') =
+    match Int.compare l l' with 0 -> Bool.compare f f' | c -> c
+  in
+  let reach = ref min_int in
+  !ok
+  && List.for_all
+       (fun (left, right, forward) ->
+         if not forward then right >= !reach
+         else left >= !reach && (reach := right; true))
+       (List.sort by_left !zones)
 
 let of_abd_history history =
   List.map

@@ -7,7 +7,7 @@
     expected-failure mode; the Ω monitors encode Theorems 5.1/5.2
     (eventual stable correct leader, steady-state message silence); the
     ABD monitors check register atomicity both by protocol timestamps
-    and by the value-level Wing–Gong {!Lin} checker. *)
+    and by the value-level {!Lin} zone test. *)
 
 type verdict =
   | Pass

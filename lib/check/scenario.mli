@@ -46,7 +46,10 @@ type params = {
   max_crashes : int option;
   crash_window : int option;
   max_steps : int option;
-  max_ops : int option;  (** abd: script length cap *)
+  max_ops : int option;
+      (** abd: per-process script length cap (default 4); kv: a trial's
+          op count (default: drawn).  Neither is capped: {!Lin} checks
+          histories of any length *)
   warmup : int option;  (** omega *)
   window : int option;  (** omega *)
   entries : int option;  (** mutex: CS entries per process (default: drawn) *)

@@ -35,10 +35,7 @@ let delay_desc = function
    drops would stall quorum phases forever.  ABD processes carry no
    recovery closures: no restart windows. *)
 let cfg_of_params (p : Scenario.params) =
-  (* The Wing-Gong checker is bitmask-indexed (<= 62 events); cap the
-     per-process script length so the whole history always fits. *)
-  let max_ops = Option.value p.Scenario.max_ops ~default:4 in
-  let max_ops = max 1 (min max_ops (62 / max 1 p.Scenario.n)) in
+  let max_ops = Int.max 1 (Option.value p.Scenario.max_ops ~default:4) in
   let max_steps = Option.value p.Scenario.max_steps ~default:200_000 in
   {
     plan =

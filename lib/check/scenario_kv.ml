@@ -95,13 +95,7 @@ let gen (cfg : cfg) rng =
   let clients =
     match cfg.clients with Some c -> c | None -> 2 + Rng.int rng 199
   in
-  (* Total op caps keep every per-key Lin history under the checker's
-     62-event bitmask bound. *)
-  let ops =
-    match cfg.ops with
-    | Some o -> min o 62
-    | None -> 8 + Rng.int rng 41
-  in
+  let ops = match cfg.ops with Some o -> o | None -> 8 + Rng.int rng 41 in
   let theta = [| 0.0; 0.8; 1.1 |].(Rng.int rng 3) in
   let mean_gap = 4 + Rng.int rng 44 in
   let read_pct = [| 25; 50; 90 |].(Rng.int rng 3) in

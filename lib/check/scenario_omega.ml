@@ -38,12 +38,12 @@ let cfg_of_params (p : Scenario.params) =
      shared memory, so partitions alone cannot unseat a leader;
      freezing the initial leader p0 is what forces a re-election —
      legal, because a freeze that thaws is exactly "eventually timely"
-     (§5).  Every nemesis window clears in the first warmup quarter,
-     every restart window in the first half, so the run settles well
-     before the steady-state window. *)
+     (§5).  Crashes land within the warmup, every nemesis window clears
+     in its first quarter, every restart window in its first half, so
+     the run settles well before the steady-state window. *)
   let crashes =
     Fault_plan.drawn p ~n ~avoid:[ 0 ] ~native_default:(lazy (max 0 (n - 2)))
-      ~default_window:20_000
+      ~default_window:(Int.min 20_000 warmup)
   in
   {
     variant;

@@ -1,6 +1,7 @@
 (** Ω leader election as a {!Scenario.S}: each trial draws a crash plan
     (never crashing the designated timely process 0, which §5 requires
-    to stay alive) landing within the first [crash_window] steps, a
+    to stay alive) landing within the first [crash_window] steps
+    (default 20 000, or the whole warmup when that is shorter), a
     per-trial drop probability below the configured max (lossy variant
     only) and an engine seed, and monitors Theorem 5.1/5.2 stability
     (one correct leader, stable before the window opened) plus

@@ -10,7 +10,11 @@
    2. a KV failover run: a hand-authored leader restart window plus
       per-op deadlines — the client accounting must close the books
       (every request completes or expires), retries must not
-      double-apply, and every acknowledged put must be durable. *)
+      double-apply, and every acknowledged put must be durable;
+   3. `mm check kv --nemesis --restarts --seed 11` at its default budget
+      on both backends, gated on a clean report of every trial: its
+      trial 23 checks 45 ops on 2 keys, past what an exponential
+      linearizability search finishes in memory. *)
 
 module B = Mm_graph.Builders
 module Kv = Mm_kv.Kv
@@ -20,6 +24,7 @@ module Registry = Mm_check.Registry
 module Runner = Mm_check.Runner
 module Nemesis = Mm_check.Nemesis
 module Monitor = Mm_check.Monitor
+module Kv_scenario = Mm_check.Scenario_kv
 
 let failed = ref false
 
@@ -86,4 +91,25 @@ let () =
   check "linearizable across the restart"
     (Monitor.is_pass (Monitor.kv_linearizable o));
   check "acked puts durable" (Monitor.is_pass (Monitor.kv_durable o));
+  (* Leg 3: the default kv nemesis + restarts sweep at seed 11. *)
+  List.iter
+    (fun backend ->
+      let params =
+        {
+          Scenario.default_params with
+          nemesis = true;
+          restarts = true;
+          backend;
+        }
+      in
+      let r =
+        Runner.sweep (module Kv_scenario) ~master_seed:11 ~params ()
+      in
+      Format.printf "%a" Runner.pp_report r;
+      check
+        (Printf.sprintf "kv seed-11 nemesis+restarts sweep clean (%s)"
+           (Mm_mem.Mem.Backend.name backend))
+        (r.Runner.violation = None
+        && r.Runner.trials_run = Kv_scenario.default_budget))
+    [ Mm_mem.Mem.Backend.Native; Mm_mem.Mem.Backend.Emulated ];
   if !failed then exit 1

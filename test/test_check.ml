@@ -1,6 +1,7 @@
-(* Tests for the Mm_check model-checking harness: the Wing-Gong
-   linearizability checker, the schedule explorers (determinism, replay,
-   schedule recording), the delta-debugging shrinkers, and budgeted
+(* Tests for the Mm_check model-checking harness: the zone-test
+   linearizability checker (against a Wing-Gong search oracle), the
+   schedule explorers (determinism, replay, schedule recording), the
+   delta-debugging shrinkers, and budgeted
    end-to-end sweeps over HBO / Omega / ABD — including the pinned-seed
    violation hunt on a disconnected graph and its bit-identical replay. *)
 
@@ -25,9 +26,50 @@ module Rng = Mm_rng.Rng
 
 type Mm_net.Message.payload += Ping
 
-(* --- Lin: Wing-Gong linearizability --- *)
+(* --- Lin: the zone test, against a Wing-Gong oracle --- *)
 
 let ev proc op start_t finish_t = { Lin.proc; op; start_t; finish_t }
+
+(* The Wing-Gong search, the checker [Lin.check] replaced, kept as the
+   oracle the zone test is held to.  It needs no unique values but is
+   exponential and bitmask-indexed: at most 62 events.  Repeatedly pick
+   a minimal pending op (nothing pending finished strictly before it
+   started), apply it to the register, recurse; memoize dead ends on
+   (remaining mask, register value). *)
+let wing_gong ?(init = 0) events =
+  let evs = Array.of_list events in
+  let m = Array.length evs in
+  if m > 62 then invalid_arg "wing_gong: history longer than 62 events";
+  let failed : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+  let rec go mask value =
+    mask = 0
+    || (not (Hashtbl.mem failed (mask, value)))
+       &&
+       let ok =
+         (* min-finish over the whole mask works because an op cannot
+            finish before its own start *)
+         let min_fin = ref max_int in
+         for i = 0 to m - 1 do
+           if mask land (1 lsl i) <> 0 && evs.(i).Lin.finish_t < !min_fin then
+             min_fin := evs.(i).Lin.finish_t
+         done;
+         let rec try_at i =
+           i < m
+           && ((mask land (1 lsl i) <> 0
+               && evs.(i).Lin.start_t <= !min_fin
+               &&
+               let rest = mask lxor (1 lsl i) in
+               match evs.(i).Lin.op with
+               | Lin.Write v -> go rest v
+               | Lin.Read v -> v = value && go rest value)
+              || try_at (i + 1))
+         in
+         try_at 0
+       in
+       if not ok then Hashtbl.replace failed (mask, value) ();
+       ok
+  in
+  go ((1 lsl m) - 1) init
 
 let test_lin_sequential () =
   Alcotest.(check bool) "write then read" true
@@ -43,7 +85,9 @@ let test_lin_stale_read_rejected () =
          ev 0 (Lin.Write 1) 0 1;
          ev 0 (Lin.Write 2) 2 3;
          ev 1 (Lin.Read 1) 4 5;
-       ])
+       ]);
+  Alcotest.(check bool) "read of a value never written" false
+    (Lin.check [ ev 0 (Lin.Write 1) 0 5; ev 1 (Lin.Read 2) 1 3 ])
 
 let test_lin_concurrency_allows_reorder () =
   (* The read overlaps the write, so it may linearize before it. *)
@@ -61,11 +105,86 @@ let test_lin_concurrency_allows_reorder () =
        ])
 
 let test_lin_validation () =
-  Alcotest.(check bool) "inverted interval rejected" true
-    (try
-       ignore (Lin.check [ ev 0 (Lin.Read 0) 5 1 ]);
-       false
-     with Invalid_argument _ -> true)
+  let rejects label events =
+    Alcotest.(check bool) label true
+      (try
+         ignore (Lin.check events);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "inverted interval rejected" [ ev 0 (Lin.Read 0) 5 1 ];
+  rejects "duplicate write value rejected"
+    [ ev 0 (Lin.Write 3) 0 1; ev 1 (Lin.Write 3) 2 3 ];
+  rejects "write of init rejected" [ ev 0 (Lin.Write 0) 0 1 ];
+  let w = ev 0 (Lin.Write 4) 0 1 in
+  rejects "one write listed twice rejected" [ w; w ]
+
+(* 50 writes and 50 reads, each read overlapping its own write and the
+   next one: past the 62 events the oracle can take, and linearizable.
+   One late read of the first value is stale. *)
+let test_lin_long_history () =
+  let history =
+    List.concat
+      (List.init 50 (fun i ->
+           [
+             ev 0 (Lin.Write (i + 1)) (10 * i) ((10 * i) + 6);
+             ev 1 (Lin.Read (i + 1)) ((10 * i) + 3) ((10 * i) + 12);
+           ]))
+  in
+  Alcotest.(check int) "100 events" 100 (List.length history);
+  Alcotest.(check bool) "linearizable" true (Lin.check history);
+  let stale =
+    List.map
+      (fun e ->
+        if e.Lin.start_t = 493 then { e with Lin.op = Lin.Read 1 } else e)
+      history
+  in
+  Alcotest.(check bool) "one stale read rejected" false (Lin.check stale)
+
+(* Histories of up to 14 events with start times in a span of 1-6 steps
+   and durations of 0-5, so timestamps tie often: the strict precedence
+   [a.finish_t < b.start_t] is where a boundary mistake would show.
+   Writes carry unique values 1..w; a read returns any of them or the
+   initial 0, so both verdicts are common. *)
+let gen_history =
+  let open QCheck.Gen in
+  let* span = int_range 1 6 in
+  let* m = int_range 0 14 in
+  let* shapes =
+    list_repeat m (triple (int_bound (span - 1)) (int_bound 5) bool)
+  in
+  let writes = List.length (List.filter (fun (_, _, w) -> w) shapes) in
+  let* picks = list_repeat m (int_bound writes) in
+  let next = ref 0 in
+  return
+    (List.mapi
+       (fun i ((start_t, dur, is_write), pick) ->
+         let op =
+           if is_write then begin
+             incr next;
+             Lin.Write !next
+           end
+           else Lin.Read pick
+         in
+         ev i op start_t (start_t + dur))
+       (List.combine shapes picks))
+
+let print_history events =
+  String.concat " "
+    (List.map
+       (fun e ->
+         Printf.sprintf "%s[%d,%d]"
+           (match e.Lin.op with
+           | Lin.Write v -> Printf.sprintf "W%d" v
+           | Lin.Read v -> Printf.sprintf "R%d" v)
+           e.Lin.start_t e.Lin.finish_t)
+       events)
+
+let prop_lin_agrees_with_wing_gong =
+  QCheck.Test.make ~count:100_000
+    ~name:"zone test = Wing-Gong"
+    (QCheck.make ~print:print_history gen_history)
+    (fun h -> Lin.check h = wing_gong h)
 
 (* --- Explore: PCT adversary and replay --- *)
 
@@ -1482,6 +1601,41 @@ let test_omega_late_handover_pinned () =
   Alcotest.(check bool) "stop rule passes before the handover" true
     (Omega.holds stopped && stopped.Omega.run.steps < 61_797)
 
+(* With no --crash-window, crash steps are drawn within the warmup: a
+   short trial must not list crashes that never run (nor shrink them). *)
+let test_omega_crashes_within_warmup () =
+  List.iter
+    (fun warmup ->
+      let params =
+        {
+          Scenario.default_params with
+          warmup = Some warmup;
+          window = Some 1;
+          nemesis = true;
+          restarts = true;
+        }
+      in
+      let cfg = Scenario_omega.cfg_of_params params in
+      let drawn = ref 0 in
+      for seed = 0 to 49 do
+        let t = Scenario_omega.gen cfg (Rng.create seed) in
+        match Config.find_str (Scenario_omega.config cfg t) "crashes" with
+        | None -> Alcotest.fail "no crashes line"
+        | Some "none" -> ()
+        | Some line ->
+          List.iter
+            (fun c ->
+              let step = Scanf.sscanf c "p%d@%d" (fun _ step -> step) in
+              incr drawn;
+              if step > warmup then
+                Alcotest.failf "warmup %d, seed %d: crash at step %d" warmup
+                  seed step)
+            (String.split_on_char ' ' line)
+      done;
+      Alcotest.(check bool) (Printf.sprintf "warmup %d drew crashes" warmup)
+        true (!drawn > 0))
+    [ 1; 500; 25_000 ]
+
 (* --- crash-recovery: restart windows through the sweep --- *)
 
 let test_gen_restarts_well_formed () =
@@ -1754,6 +1908,8 @@ let () =
           Alcotest.test_case "concurrency" `Quick
             test_lin_concurrency_allows_reorder;
           Alcotest.test_case "validation" `Quick test_lin_validation;
+          Alcotest.test_case "100-event history" `Quick test_lin_long_history;
+          QCheck_alcotest.to_alcotest prop_lin_agrees_with_wing_gong;
         ] );
       ( "explore",
         [
@@ -1899,6 +2055,8 @@ let () =
             test_omega_stop_rule_silence;
           Alcotest.test_case "seed 467947351 late handover" `Quick
             test_omega_late_handover_pinned;
+          Alcotest.test_case "crash steps within warmup" `Quick
+            test_omega_crashes_within_warmup;
         ] );
       ( "restarts",
         [

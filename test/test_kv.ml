@@ -203,6 +203,43 @@ let test_kv_completes_and_linearizes () =
   Alcotest.(check int) "no duplicate applies recorded twice" 0
     o.Kv.duplicate_applies
 
+(* A hot key with more than 62 completed ops is checked, not skipped: a
+   read rewritten to return the initial value after a put on the key
+   completed must fail kv-linearizable. *)
+let test_kv_long_key_history_checked () =
+  let o = run_kv ~shards:1 ~sp:{ spec with W.key_space = 2 } () in
+  Alcotest.(check bool) "linearizable as run" true
+    (Monitor.is_pass (Monitor.kv_linearizable o));
+  let on_key k =
+    List.filter
+      (fun rc -> rc.Kv.completion >= 0 && rc.Kv.req.W.key = k)
+      (Array.to_list o.Kv.ops)
+  in
+  let ops =
+    if List.length (on_key 0) >= List.length (on_key 1) then on_key 0
+    else on_key 1
+  in
+  Alcotest.(check bool) "hot key has more than 62 completed ops" true
+    (List.length ops > 62);
+  let first_put =
+    List.fold_left
+      (fun acc rc ->
+        match rc.Kv.req.W.op with
+        | W.Put _ -> min acc rc.Kv.completion
+        | W.Get -> acc)
+      max_int ops
+  in
+  match
+    List.find_opt
+      (fun rc -> rc.Kv.req.W.op = W.Get && rc.Kv.req.W.arrival > first_put)
+      ops
+  with
+  | None -> Alcotest.fail "no read after a completed put"
+  | Some rc ->
+    rc.Kv.result <- 0;
+    Alcotest.(check bool) "stale read fails kv-linearizable" false
+      (Monitor.is_pass (Monitor.kv_linearizable o))
+
 let test_kv_local_read_speedup () =
   let p50 (o : Kv.outcome) =
     let h = Array.fold_left H.merge (H.create ()) o.Kv.get_hist in
@@ -622,6 +659,8 @@ let () =
         [
           Alcotest.test_case "completes + linearizes" `Quick
             test_kv_completes_and_linearizes;
+          Alcotest.test_case "long key history checked" `Quick
+            test_kv_long_key_history_checked;
           Alcotest.test_case "local-read speedup" `Quick
             test_kv_local_read_speedup;
           Alcotest.test_case "partition p99 spike + recovery" `Quick
